@@ -137,11 +137,19 @@ int main(int argc, char** argv) {
     if (run_optimizer) {
       const opt::OptimizedDesign design = opt::optimize(model.network);
       network = design.network;
-      if (print_stats)
+      if (print_stats) {
+        const opt::ExtractStats& extract = design.stats.extract;
         std::fprintf(stderr,
                      "optimize: %d -> %d literals, %d gates, %.3fs\n",
                      model.network.total_literals(), design.stats.literals,
                      network.num_gates(), design.stats.seconds);
+        std::fprintf(stderr,
+                     "extract: %d divisors in %d rounds, %lld candidates "
+                     "valued, %lld trial divisions\n",
+                     extract.divisors_extracted, extract.rounds,
+                     static_cast<long long>(extract.candidates_valued),
+                     static_cast<long long>(extract.trial_divisions));
+      }
     } else {
       network = opt::decompose_to_and_or(model.network);
     }

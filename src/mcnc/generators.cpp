@@ -329,7 +329,10 @@ sop::SopNetwork make_k2(int inputs, int outputs, int cubes,
   // Shared product-term pool, PLA style.
   std::vector<Cube> pool;
   for (int c = 0; c < cubes; ++c) {
-    const int width = static_cast<int>(rng.next_in(5, 9));
+    // At most `inputs` distinct variables fit in a cube; the clamp only
+    // binds for inputs = 8 and leaves every wider PLA's stream as is.
+    const int width =
+        std::min(inputs, static_cast<int>(rng.next_in(5, 9)));
     std::vector<Literal> lits;
     std::vector<int> chosen;
     while (static_cast<int>(chosen.size()) < width) {

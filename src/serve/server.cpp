@@ -765,7 +765,7 @@ MapResponse Server::process_request(const Frame& frame,
   base::CancelToken token =
       request.deadline_ms >= 0
           ? base::CancelToken::after(
-                std::chrono::milliseconds(request.deadline_ms))
+                std::chrono::milliseconds(request.deadline_ms), config_.clock)
           : base::CancelToken();
   try {
     token.check("serve.request");
@@ -775,8 +775,11 @@ MapResponse Server::process_request(const Frame& frame,
       obs::TraceSpan parse_span("serve.parse", context);
       WallTimer stage_timer;
       model = blif::read_blif_string(request.blif);
-      network = request.optimize ? opt::optimize(model.network).network
-                                 : opt::decompose_to_and_or(model.network);
+      opt::ExtractOptions extract;
+      if (request.deadline_ms >= 0) extract.cancel = &token;
+      network = request.optimize
+                    ? opt::optimize(model.network, extract).network
+                    : opt::decompose_to_and_or(model.network);
       stages.parse += stage_timer.seconds();
     }
     core::Options options;

@@ -53,6 +53,7 @@
 #include <thread>
 #include <vector>
 
+#include "base/clock.hpp"
 #include "chortle/dp_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
@@ -85,6 +86,9 @@ struct ServerConfig {
   /// Worker threads inside each map_network call (1: a request is
   /// mapped single-threaded; parallelism across requests instead).
   int map_jobs = 1;
+  /// Time source for request deadlines (the base/clock.hpp test seam;
+  /// must outlive the server). nullptr: the real steady clock.
+  const base::Clock* clock = nullptr;
 };
 
 class Server {

@@ -19,6 +19,8 @@ std::vector<Literal> frequent_literals(const Cover& cover, int min_count) {
 
 class KernelFinder {
  public:
+  explicit KernelFinder(int max_cubes) : max_cubes_(max_cubes) {}
+
   std::vector<KernelEntry> run(const Cover& raw) {
     const Cover cover = raw.scc_minimized();
     const Cube common = cover.common_cube();
@@ -54,18 +56,20 @@ class KernelFinder {
 
   void add(const Cover& kernel, const Cube& co_kernel) {
     const Cover canonical = kernel.scc_minimized();
+    if (canonical.num_cubes() > max_cubes_) return;
     if (!seen_.insert(canonical.cubes()).second) return;
     entries_.push_back({canonical, co_kernel});
   }
 
+  int max_cubes_;
   std::set<std::vector<Cube>> seen_;
   std::vector<KernelEntry> entries_;
 };
 
 }  // namespace
 
-std::vector<KernelEntry> find_kernels(const Cover& cover) {
-  return KernelFinder().run(cover);
+std::vector<KernelEntry> find_kernels(const Cover& cover, int max_cubes) {
+  return KernelFinder(max_cubes).run(cover);
 }
 
 bool is_level0_kernel(const Cover& kernel) {

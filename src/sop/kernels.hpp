@@ -10,6 +10,7 @@
 //    exactly as described in §4.1 of the paper.
 #pragma once
 
+#include <limits>
 #include <vector>
 
 #include "sop/cover.hpp"
@@ -23,8 +24,10 @@ struct KernelEntry {
 
 /// All kernels of `cover`, including the cover itself when cube-free.
 /// Duplicate kernels (same cover reached via different co-kernels) are
-/// reported once.
-std::vector<KernelEntry> find_kernels(const Cover& cover);
+/// reported once. Kernels of more than `max_cubes` cubes are not kept,
+/// which leaves the order of the others unchanged.
+std::vector<KernelEntry> find_kernels(
+    const Cover& cover, int max_cubes = std::numeric_limits<int>::max());
 
 /// True iff `kernel` is level-0: no literal appears in two or more cubes.
 bool is_level0_kernel(const Cover& kernel);

@@ -2,9 +2,11 @@
 #pragma once
 
 #include <algorithm>
+#include <chrono>
 #include <string>
 #include <vector>
 
+#include "base/clock.hpp"
 #include "base/rng.hpp"
 #include "mcnc/random_logic.hpp"
 #include "network/network.hpp"
@@ -13,6 +15,25 @@
 #include "sop/sop_network.hpp"
 
 namespace chortle::testing {
+
+/// A clock that moves 1 ms forward every time it is read, so a token
+/// with an N ms budget fires at the Nth poll after it is made, however
+/// fast or slow the work between polls is.
+class TickingClock final : public base::Clock {
+ public:
+  TimePoint now() const override {
+    fake_.advance(std::chrono::milliseconds(1));
+    return fake_.now();
+  }
+  void wait_until(std::condition_variable& cv,
+                  std::unique_lock<std::mutex>& lock,
+                  TimePoint deadline) const override {
+    fake_.wait_until(cv, lock, deadline);
+  }
+
+ private:
+  mutable base::FakeClock fake_;
+};
 
 /// A random fanout-free tree network: one output, every gate read once.
 /// Gate fanins span [2, max_fanin]; leaves are drawn from the primary

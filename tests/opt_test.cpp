@@ -1,13 +1,23 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "base/cancel.hpp"
 #include "blif/blif.hpp"
+#include "helpers.hpp"
 #include "mcnc/generators.hpp"
 #include "mcnc/random_logic.hpp"
 #include "opt/decompose.hpp"
 #include "opt/extract.hpp"
 #include "opt/script.hpp"
+#include "opt/simplify.hpp"
 #include "opt/sweep.hpp"
 #include "sim/simulate.hpp"
+#include "sop/kernels.hpp"
 
 namespace chortle::opt {
 namespace {
@@ -116,6 +126,242 @@ TEST(Extract, PreservesFunctionOnRandomNetworks) {
     EXPECT_TRUE(sim::equivalent(sim::design_of(swept), sim::design_of(net)))
         << "seed " << seed;
   }
+}
+
+// ---------------------------------------------------------------------
+// The extraction loop as it was before it kept state across rounds:
+// every round regenerates every node's kernels and common cubes, values
+// every candidate by trial division, and extracts the single best one.
+// It is the reference the incremental extractor must match choice for
+// choice. `chosen` receives each round's divisor.
+
+namespace oracle {
+
+using sop::Cover;
+using sop::Cube;
+using sop::SopNetwork;
+
+int cost_after_division(const Cover& cover, const Cover& divisor) {
+  auto [quotient, remainder] = cover.divide(divisor);
+  if (quotient.is_zero()) return cover.literal_count();
+  return remainder.literal_count() + quotient.literal_count() +
+         quotient.num_cubes();
+}
+
+std::vector<std::vector<SopNetwork::NodeId>> build_users_index(
+    const SopNetwork& network) {
+  std::vector<std::vector<SopNetwork::NodeId>> users(
+      static_cast<std::size_t>(network.num_nodes()));
+  for (SopNetwork::NodeId id = 0; id < network.num_nodes(); ++id) {
+    if (network.is_input(id)) continue;
+    for (int var : network.node(id).cover.support())
+      users[static_cast<std::size_t>(var)].push_back(id);
+  }
+  return users;
+}
+
+int divisor_value(const SopNetwork& network,
+                  const std::vector<std::vector<SopNetwork::NodeId>>& users,
+                  const Cover& divisor) {
+  const std::vector<int> divisor_support = divisor.support();
+  const std::vector<SopNetwork::NodeId>* shortest = nullptr;
+  for (int var : divisor_support) {
+    const auto& list = users[static_cast<std::size_t>(var)];
+    if (shortest == nullptr || list.size() < shortest->size())
+      shortest = &list;
+  }
+  int saving = -divisor.literal_count();
+  for (SopNetwork::NodeId id : *shortest) {
+    const Cover& cover = network.node(id).cover;
+    const std::vector<int> support = cover.support();
+    if (!std::includes(support.begin(), support.end(),
+                       divisor_support.begin(), divisor_support.end()))
+      continue;
+    saving += cover.literal_count() - cost_after_division(cover, divisor);
+  }
+  return saving;
+}
+
+std::vector<Cube> key_of(const Cover& divisor) {
+  return divisor.scc_minimized().cubes();
+}
+
+void extract_divisors(SopNetwork& network, const ExtractOptions& options,
+                      std::vector<Cover>& chosen) {
+  int next_name = 0;
+  for (int round = 0; round < options.max_rounds; ++round) {
+    std::set<std::vector<Cube>> seen;
+    std::vector<Cover> candidates;
+    for (SopNetwork::NodeId id = 0; id < network.num_nodes(); ++id) {
+      if (network.is_input(id)) continue;
+      const Cover& cover = network.node(id).cover;
+      if (cover.num_cubes() >= 2) {
+        for (const sop::KernelEntry& entry : sop::find_kernels(cover)) {
+          if (entry.kernel.num_cubes() > options.max_kernel_cubes) continue;
+          if (seen.insert(key_of(entry.kernel)).second)
+            candidates.push_back(entry.kernel);
+        }
+        const auto& cubes = cover.cubes();
+        for (std::size_t i = 0; i < cubes.size(); ++i)
+          for (std::size_t j = i + 1; j < cubes.size(); ++j) {
+            const Cube common = cubes[i].common_with(cubes[j]);
+            if (common.size() < 2) continue;
+            const Cover single{std::vector<Cube>{common}};
+            if (seen.insert(key_of(single)).second)
+              candidates.push_back(single);
+          }
+      }
+      if (static_cast<int>(candidates.size()) >= options.max_candidates)
+        break;
+    }
+
+    const auto users = build_users_index(network);
+    int best_value = options.min_saving - 1;
+    const Cover* best = nullptr;
+    for (const Cover& candidate : candidates) {
+      const int value = divisor_value(network, users, candidate);
+      if (value > best_value) {
+        best_value = value;
+        best = &candidate;
+      }
+    }
+    if (best == nullptr) break;
+    chosen.push_back(*best);
+
+    const std::vector<int> best_support = best->support();
+    const SopNetwork::NodeId divisor_node =
+        network.add_node("ext" + std::to_string(next_name++), *best);
+    for (SopNetwork::NodeId id = 0; id < network.num_nodes(); ++id) {
+      if (network.is_input(id) || id == divisor_node) continue;
+      const Cover& cover = network.node(id).cover;
+      const std::vector<int> support = cover.support();
+      if (!std::includes(support.begin(), support.end(), best_support.begin(),
+                         best_support.end()))
+        continue;
+      const Cover rewritten =
+          cover.with_divisor_replaced(*best, divisor_node).scc_minimized();
+      if (rewritten != cover) network.set_cover(id, rewritten);
+    }
+  }
+}
+
+}  // namespace oracle
+
+/// The network as optimize() hands it to extraction.
+sop::SopNetwork prepared(sop::SopNetwork net) {
+  sweep(net);
+  simplify_covers(net);
+  return net;
+}
+
+/// Runs the oracle and the extractor on copies of `net` and requires the
+/// same divisor in every round and the same final network, node by node
+/// and cube by cube. With `every_round`, round r's choice is read back
+/// as ext<r> from a run cut at max_rounds = r + 1. Returns the number of
+/// divisors extracted.
+int expect_same_extraction(const sop::SopNetwork& net,
+                           const ExtractOptions& options,
+                           const std::string& label, bool every_round) {
+  sop::SopNetwork expected = net;
+  std::vector<sop::Cover> chosen;
+  oracle::extract_divisors(expected, options, chosen);
+
+  sop::SopNetwork actual = net;
+  const ExtractStats stats = extract_divisors(actual, options);
+  EXPECT_EQ(stats.divisors_extracted, static_cast<int>(chosen.size()))
+      << label;
+  EXPECT_EQ(stats.literals_after, expected.total_literals()) << label;
+  EXPECT_EQ(actual.num_nodes(), expected.num_nodes()) << label;
+  const int nodes = std::min(actual.num_nodes(), expected.num_nodes());
+  for (sop::SopNetwork::NodeId id = 0; id < nodes; ++id) {
+    EXPECT_EQ(actual.node(id).name, expected.node(id).name) << label;
+    EXPECT_TRUE(actual.node(id).cover == expected.node(id).cover)
+        << label << " node " << expected.node(id).name;
+  }
+  for (std::size_t r = 0; every_round && r < chosen.size(); ++r) {
+    sop::SopNetwork cut = net;
+    ExtractOptions cut_options = options;
+    cut_options.max_rounds = static_cast<int>(r) + 1;
+    extract_divisors(cut, cut_options);
+    const auto ext = cut.find("ext" + std::to_string(r));
+    EXPECT_TRUE(ext != sop::SopNetwork::kInvalidNode &&
+                cut.node(ext).cover == chosen[r])
+        << label << " round " << r;
+  }
+  return stats.divisors_extracted;
+}
+
+TEST(ExtractEquivalence, MatchesOracleOnSeededPlas) {
+  // 8..16 inputs and outputs; every fourth PLA is also checked round by
+  // round.
+  for (int i = 0; i < 40; ++i) {
+    const int io = 8 + i % 9;
+    const sop::SopNetwork net =
+        prepared(mcnc::make_k2(io, io, 2 * io, 0x5EED00 + i));
+    expect_same_extraction(net, {}, "pla " + std::to_string(i),
+                           /*every_round=*/i % 4 == 0);
+  }
+}
+
+TEST(ExtractEquivalence, MatchesOracleOnTable2Circuits) {
+  for (const char* name : {"9symml", "alu2"})
+    expect_same_extraction(prepared(mcnc::generate(name)), {}, name,
+                           /*every_round=*/true);
+  // kpla0 of the repository benchmark: a 20-in/out, 40-cube PLA.
+  expect_same_extraction(prepared(mcnc::make_k2(20, 20, 40, 0xC20)), {},
+                         "kpla0", /*every_round=*/false);
+}
+
+TEST(ExtractEquivalence, MatchesOracleWhenTheScanIsTruncated) {
+  // 20 candidates are reached within the first node or two, so every
+  // round's scan stops early, after the node that crosses the bound.
+  ExtractOptions options;
+  options.max_candidates = 20;
+  expect_same_extraction(prepared(mcnc::generate("alu2")), options,
+                         "alu2 max_candidates=20", /*every_round=*/true);
+  expect_same_extraction(prepared(mcnc::make_k2(16, 16, 32, 0xC21)), options,
+                         "pla max_candidates=20", /*every_round=*/true);
+}
+
+TEST(ExtractEquivalence, MatchesOracleUnderOtherBounds) {
+  ExtractOptions options;
+  options.max_kernel_cubes = 3;
+  options.min_saving = 3;
+  expect_same_extraction(prepared(mcnc::generate("alu2")), options,
+                         "alu2 kernels<=3 saving>=3", /*every_round=*/false);
+  // Duplicate cubes and a non-canonical cube order reach the extractor
+  // unless simplify removed them; division must count them as before.
+  const sop::SopNetwork raw = from_blif(
+      ".model m\n.inputs a b c d e\n.outputs f g h\n"
+      ".names a b c d f\n11-- 1\n1-1- 1\n11-- 1\n-11- 1\n1--1 1\n"
+      ".names d b c e g\n11-- 1\n1-1- 1\n-1-1 1\n1-1- 1\n"
+      ".names a b c e h\n1-1- 1\n11-- 1\n--11 1\n.end\n");
+  ASSERT_EQ(raw.node(raw.find("f")).cover.num_cubes(), 5);  // ab twice
+  EXPECT_GE(expect_same_extraction(raw, {}, "duplicate cubes",
+                                   /*every_round=*/true),
+            1);
+}
+
+TEST(Extract, DeadlineStopsExtractionBetweenRounds) {
+  // alu4 extracts 87 divisors. The token is read once when made and
+  // once per round, so a 4 ms budget lets rounds 0-2 run and fires at
+  // the start of round 3.
+  const sop::SopNetwork net = prepared(mcnc::generate("alu4"));
+  const testing::TickingClock clock;
+  const base::CancelToken token =
+      base::CancelToken::after(std::chrono::milliseconds(4), &clock);
+  ExtractOptions options;
+  options.cancel = &token;
+  sop::SopNetwork cut = net;
+  try {
+    extract_divisors(cut, options);
+    FAIL() << "extraction outran its deadline";
+  } catch (const base::Cancelled& error) {
+    EXPECT_NE(std::string(error.what()).find("opt.extract"),
+              std::string::npos);
+  }
+  EXPECT_NE(cut.find("ext2"), sop::SopNetwork::kInvalidNode);
+  EXPECT_EQ(cut.find("ext3"), sop::SopNetwork::kInvalidNode);
 }
 
 TEST(Decompose, BuildsAndOrGatesWithPolarities) {

@@ -23,6 +23,7 @@
 
 #include "blif/blif.hpp"
 #include "chortle/mapper.hpp"
+#include "helpers.hpp"
 #include "mcnc/generators.hpp"
 #include "obs/serve_stats.hpp"
 #include "opt/decompose.hpp"
@@ -165,6 +166,34 @@ TEST(Serve, ExpiredDeadlineReturnsDeadlineErrorWithoutMappingWork) {
   const core::DpCache::Stats cache = server.cache_stats();
   EXPECT_EQ(cache.misses, 0u);
   EXPECT_EQ(cache.insertions, 0u);
+  server.shutdown();
+  EXPECT_EQ(server.counters().deadline_errors, 1u);
+}
+
+TEST(Serve, DeadlineFiresInsideDivisorExtraction) {
+  // optimize:true runs the optimizer inside the request's deadline. With
+  // a clock that advances 1 ms per read, the token's reads are: made,
+  // the pickup check, then one per extraction round — so a 5 ms budget
+  // lets alu4's rounds 0-2 run and fires at round 3 of its 88.
+  const testing::TickingClock clock;
+  ServerConfig config;
+  config.unix_path = test_socket_path("optdeadline");
+  config.workers = 1;
+  config.clock = &clock;
+  Server server(config);
+  server.start();
+
+  MapRequest request;
+  request.optimize = true;
+  request.deadline_ms = 5;
+  request.blif = benchmark_blif("alu4");
+  Client client = Client::connect_unix(config.unix_path);
+  const MapResponse response = client.map(request);
+  EXPECT_EQ(response.status, "deadline");
+  EXPECT_NE(response.error.find("opt.extract"), std::string::npos)
+      << response.error;
+  EXPECT_TRUE(response.blif.empty());
+  EXPECT_EQ(server.cache_stats().misses, 0u);  // mapping never started
   server.shutdown();
   EXPECT_EQ(server.counters().deadline_errors, 1u);
 }
