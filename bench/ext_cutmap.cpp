@@ -9,180 +9,67 @@
 //   bound       FlowMap-optimal depth label of the subject graph
 //   casc        LUTs emitted as decomposition cascades
 //
-// Every mapped circuit is verified against the source by simulation
-// and BDD equivalence, and again after a BLIF round-trip (write,
-// re-parse, re-verify — the emitted netlist must mean what the mapper
-// computed, byte for byte). The mapper's own invariant guarantees
+// Every mapped circuit is verified against the source with
+// verify::check at kRoundTrip: simulation, BDD equivalence, and again
+// after a BLIF write and re-read (the emitted netlist must mean what
+// the mapper computed). The mapper's own invariant guarantees
 // depth <= bound; this bench fails loudly if that ever breaks.
 //
 // Flags:
 //   --out PATH       JSON output (default BENCH_cutmap.json)
 //   --k N            LUT arity (default 6)
 //   --repeat R       timing repetitions, minimum reported (default 3)
-//   --check PATH     compare against a committed baseline: LUT count
-//                    and depth must match exactly; total wall time must
-//                    be within --tolerance (default 0.15). Exits 3 on a
-//                    perf regression, 1 on any exact mismatch.
+//   --check PATH     gate against a committed baseline
+//                    (bench/table_common.hpp): every field but the
+//                    seconds must match exactly, and the summed seconds
+//                    may drift up to 15%. Exits 3 on a perf regression,
+//                    1 on any exact mismatch, 2 on an unusable baseline.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <map>
-#include <sstream>
 #include <string>
-#include <vector>
 
 #include "base/fnv.hpp"
 #include "base/timer.hpp"
-#include "bdd/equiv.hpp"
 #include "blif/blif.hpp"
 #include "cutmap/cutmap.hpp"
-#include "flowmap/flowmap.hpp"
 #include "libmap/subject.hpp"
 #include "mcnc/generators.hpp"
 #include "obs/json.hpp"
 #include "opt/script.hpp"
-#include "sim/simulate.hpp"
+#include "table_common.hpp"
+#include "verify/verify.hpp"
 
 namespace chortle::bench {
 namespace {
 
-struct Flags {
+int run(int argc, char** argv) {
   std::string out = "BENCH_cutmap.json";
   std::string check;
   int k = 6;
   int repeat = 3;
-  double tolerance = 0.15;
-  bool bad = false;
-};
-
-Flags parse_flags(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) {
-      flags.out = argv[++i];
-    } else if (arg == "--check" && i + 1 < argc) {
-      flags.check = argv[++i];
-    } else if (arg == "--k" && i + 1 < argc) {
-      flags.k = std::atoi(argv[++i]);
-    } else if (arg == "--repeat" && i + 1 < argc) {
-      flags.repeat = std::atoi(argv[++i]);
-    } else if (arg == "--tolerance" && i + 1 < argc) {
-      flags.tolerance = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr,
+  if (!parse_flags(argc, argv,
+                   {{"--out", &out},
+                    {"--check", &check},
+                    {"--k", &k},
+                    {"--repeat", &repeat}},
                    "usage: ext_cutmap [--out FILE] [--k N] [--repeat R]\n"
-                   "                  [--check FILE] [--tolerance F]\n");
-      flags.bad = true;
-      return flags;
-    }
-  }
-  if (flags.k < 2 || flags.k > cutmap::CutMapOptions::kMaxK ||
-      flags.repeat < 1) {
+                   "                  [--check FILE]\n"))
+    return 2;
+  if (k < 2 || k > cutmap::CutMapOptions::kMaxK || repeat < 1) {
     std::fprintf(stderr, "ext_cutmap: bad flag values\n");
-    flags.bad = true;
-  }
-  return flags;
-}
-
-struct Row {
-  std::string name;
-  int k = 0;
-  int luts = 0;
-  int first_pass_luts = 0;
-  int depth = 0;
-  int depth_bound = 0;
-  int decomposed_luts = 0;
-  std::string blif_hash;
-  double seconds = 0.0;
-};
-
-int check_against_baseline(const std::vector<Row>& rows, const Flags& flags) {
-  std::ifstream in(flags.check);
-  if (!in) {
-    std::fprintf(stderr, "ext_cutmap: cannot open baseline %s\n",
-                 flags.check.c_str());
     return 2;
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const obs::Json baseline = obs::Json::parse(buffer.str());
-  const obs::Json* bench_rows = baseline.find("benchmarks");
-  if (bench_rows == nullptr || !bench_rows->is_array()) {
-    std::fprintf(stderr, "ext_cutmap: baseline has no benchmarks array\n");
-    return 2;
-  }
-  std::map<std::pair<std::string, int>, const obs::Json*> base_by_key;
-  for (const obs::Json& row : bench_rows->as_array()) {
-    const obs::Json* name = row.find("name");
-    const obs::Json* k = row.find("k");
-    if (name != nullptr && k != nullptr)
-      base_by_key[{name->as_string(), static_cast<int>(k->as_int())}] = &row;
-  }
 
-  int mismatches = 0;
-  int compared = 0;
-  double base_seconds = 0.0;
-  double current_seconds = 0.0;
-  for (const Row& row : rows) {
-    const auto it = base_by_key.find({row.name, row.k});
-    if (it == base_by_key.end()) continue;
-    ++compared;
-    const obs::Json& base_row = *it->second;
-    const struct {
-      const char* field;
-      int current;
-    } exact[] = {{"luts", row.luts}, {"depth", row.depth}};
-    for (const auto& check : exact) {
-      if (const obs::Json* v = base_row.find(check.field);
-          v != nullptr && v->as_int() != check.current) {
-        std::fprintf(stderr,
-                     "ext_cutmap: %s mismatch vs baseline: %s K=%d "
-                     "(baseline %lld, current %d)\n",
-                     check.field, row.name.c_str(), row.k,
-                     static_cast<long long>(v->as_int()), check.current);
-        ++mismatches;
-      }
-    }
-    current_seconds += row.seconds;
-    if (const obs::Json* v = base_row.find("seconds"); v != nullptr)
-      base_seconds += v->as_number();
-  }
-  if (compared == 0) {
-    std::fprintf(stderr, "ext_cutmap: baseline shares no (name, K) rows\n");
-    return 2;
-  }
-  if (mismatches > 0) return 1;
-
-  // Wall time is machine-dependent; only the totals are compared, and
-  // only when the baseline is above timing resolution.
-  if (base_seconds >= 0.005) {
-    const double ratio = current_seconds / base_seconds;
-    std::printf("check seconds  baseline %8.4fs  current %8.4fs  ratio %.2f\n",
-                base_seconds, current_seconds, ratio);
-    if (ratio > 1.0 + flags.tolerance) {
-      std::fprintf(stderr,
-                   "ext_cutmap: wall time regressed %.0f%% (> %.0f%% "
-                   "tolerance)\n",
-                   (ratio - 1.0) * 100.0, flags.tolerance * 100.0);
-      return 3;
-    }
-  }
-  return 0;
-}
-
-int run(const Flags& flags) {
-  std::printf("Extension: priority-cuts delay-driven mapper, K=%d\n",
-              flags.k);
+  std::printf("Extension: priority-cuts delay-driven mapper, K=%d\n", k);
   std::printf("%-8s %6s %6s %6s %6s %6s %5s %9s\n", "circuit", "luts",
               "first", "rec%", "depth", "bound", "casc", "t(s)");
 
-  std::vector<Row> rows;
+  obs::Json rows = obs::Json::array();
   int failures = 0;
   long total_luts = 0;
   long total_first = 0;
   long total_depth = 0;
   long total_bound = 0;
+  double total_seconds = 0.0;
   for (const std::string& name : mcnc::benchmark_names()) {
     const sop::SopNetwork source = mcnc::generate(name);
     const opt::OptimizedDesign design = opt::optimize(source);
@@ -190,57 +77,50 @@ int run(const Flags& flags) {
         libmap::build_subject_graph(design.network);
 
     cutmap::CutMapOptions options;
-    options.k = flags.k;
-    Row row;
-    row.name = name;
-    row.k = flags.k;
-    cutmap::CutMapResult result{net::LutCircuit(flags.k),
-                                cutmap::CutMapStats{}};
-    for (int r = 0; r < flags.repeat; ++r) {
+    options.k = k;
+    cutmap::CutMapResult result{net::LutCircuit(k), cutmap::CutMapStats{}};
+    double seconds = 0.0;
+    for (int r = 0; r < repeat; ++r) {
       WallTimer timer;
       result = cutmap::map_luts(subject, options);
-      const double seconds = timer.seconds();
-      if (r == 0 || seconds < row.seconds) row.seconds = seconds;
+      const double elapsed = timer.seconds();
+      if (r == 0 || elapsed < seconds) seconds = elapsed;
     }
-    row.luts = result.stats.num_luts;
-    row.first_pass_luts = result.stats.first_pass_luts;
-    row.depth = result.stats.depth;
-    row.depth_bound = result.stats.depth_bound;
-    row.decomposed_luts = result.stats.decomposed_luts;
-
-    // Verify: simulation + BDD against the source, then again through
-    // a BLIF round-trip of the emitted netlist.
-    const std::string blif =
-        blif::write_blif_string(result.circuit, name + "_cutmap");
-    row.blif_hash = base::fnv1a64_hex(blif);
-    bool ok = sim::equivalent(sim::design_of(source),
-                              sim::design_of(result.circuit));
-    if (ok) {
-      const bdd::FormalOutcome formal =
-          bdd::check_equivalence(source, result.circuit);
-      ok = formal.status != bdd::FormalOutcome::Status::kDifferent;
-    }
-    if (ok) {
-      const blif::BlifModel round_trip = blif::read_blif_string(blif);
-      ok = sim::equivalent(sim::design_of(source),
-                           sim::design_of(round_trip.network));
-    }
-    if (row.depth > row.depth_bound) ok = false;
+    const cutmap::CutMapStats& stats = result.stats;
+    const bool ok =
+        verify::check(source, result.circuit, verify::Level::kRoundTrip)
+            .ok() &&
+        stats.depth <= stats.depth_bound;
     if (!ok) ++failures;
 
     const double recovery =
-        row.first_pass_luts > 0
-            ? 100.0 * (row.first_pass_luts - row.luts) / row.first_pass_luts
+        stats.first_pass_luts > 0
+            ? 100.0 * (stats.first_pass_luts - stats.num_luts) /
+                  stats.first_pass_luts
             : 0.0;
     std::printf("%-8s %6d %6d %5.1f%% %6d %6d %5d %9.4f%s\n", name.c_str(),
-                row.luts, row.first_pass_luts, recovery, row.depth,
-                row.depth_bound, row.decomposed_luts, row.seconds,
+                stats.num_luts, stats.first_pass_luts, recovery, stats.depth,
+                stats.depth_bound, stats.decomposed_luts, seconds,
                 ok ? "" : "  VERIFY-FAIL");
-    total_luts += row.luts;
-    total_first += row.first_pass_luts;
-    total_depth += row.depth;
-    total_bound += row.depth_bound;
-    rows.push_back(std::move(row));
+    total_luts += stats.num_luts;
+    total_first += stats.first_pass_luts;
+    total_depth += stats.depth;
+    total_bound += stats.depth_bound;
+    total_seconds += seconds;
+
+    obs::Json entry = obs::Json::object();
+    entry.set("name", name);
+    entry.set("k", k);
+    entry.set("luts", stats.num_luts);
+    entry.set("first_pass_luts", stats.first_pass_luts);
+    entry.set("depth", stats.depth);
+    entry.set("depth_bound", stats.depth_bound);
+    entry.set("decomposed_luts", stats.decomposed_luts);
+    entry.set("blif_fnv1a64",
+              base::fnv1a64_hex(blif::write_blif_string(
+                  result.circuit, name + "_cutmap")));
+    entry.set("seconds", seconds);
+    rows.push_back(std::move(entry));
   }
   std::printf("%-8s %6ld %6ld %5.1f%% %6ld %6ld\n", "total", total_luts,
               total_first,
@@ -248,58 +128,29 @@ int run(const Flags& flags) {
                   static_cast<double>(total_first),
               total_depth, total_bound);
 
+  const int num_rows = static_cast<int>(rows.as_array().size());
   obs::Json doc = obs::Json::object();
   doc.set("schema", "chortle-bench/1");
-  doc.set("k", flags.k);
-  doc.set("repeat", flags.repeat);
-  obs::Json bench_rows = obs::Json::array();
-  double total_seconds = 0.0;
-  for (const Row& row : rows) {
-    obs::Json entry = obs::Json::object();
-    entry.set("name", row.name);
-    entry.set("k", row.k);
-    entry.set("luts", row.luts);
-    entry.set("first_pass_luts", row.first_pass_luts);
-    entry.set("depth", row.depth);
-    entry.set("depth_bound", row.depth_bound);
-    entry.set("decomposed_luts", row.decomposed_luts);
-    entry.set("blif_fnv1a64", row.blif_hash);
-    entry.set("seconds", row.seconds);
-    bench_rows.push_back(std::move(entry));
-    total_seconds += row.seconds;
-  }
-  doc.set("benchmarks", std::move(bench_rows));
+  doc.set("k", k);
+  doc.set("repeat", repeat);
+  doc.set("benchmarks", std::move(rows));
   obs::Json totals = obs::Json::object();
-  totals.set("rows", static_cast<int>(rows.size()));
+  totals.set("rows", num_rows);
   totals.set("luts", static_cast<std::int64_t>(total_luts));
   totals.set("first_pass_luts", static_cast<std::int64_t>(total_first));
   totals.set("depth", static_cast<std::int64_t>(total_depth));
   totals.set("depth_bound", static_cast<std::int64_t>(total_bound));
   totals.set("seconds", total_seconds);
   doc.set("totals", std::move(totals));
-  {
-    std::ofstream out(flags.out);
-    if (!out) {
-      std::fprintf(stderr, "ext_cutmap: cannot write %s\n",
-                   flags.out.c_str());
-      return 1;
-    }
-    doc.dump(out, 2);
-    out << "\n";
-  }
-  std::printf("total: %.4fs  -> %s\n", total_seconds, flags.out.c_str());
+  if (!write_json(doc, out, "ext_cutmap")) return 1;
+  std::printf("total: %.4fs  -> %s\n", total_seconds, out.c_str());
 
   if (failures > 0) return 1;
-  if (!flags.check.empty()) return check_against_baseline(rows, flags);
+  if (!check.empty()) return check_against_baseline(doc, check, "ext_cutmap");
   return 0;
 }
 
 }  // namespace
 }  // namespace chortle::bench
 
-int main(int argc, char** argv) {
-  const chortle::bench::Flags flags =
-      chortle::bench::parse_flags(argc, argv);
-  if (flags.bad) return 2;
-  return chortle::bench::run(flags);
-}
+int main(int argc, char** argv) { return chortle::bench::run(argc, argv); }

@@ -10,7 +10,7 @@
 #include "chortle/mapper.hpp"
 #include "mcnc/generators.hpp"
 #include "opt/script.hpp"
-#include "sim/simulate.hpp"
+#include "verify/verify.hpp"
 
 using namespace chortle;
 
@@ -35,8 +35,7 @@ int main() {
       dup.duplicate_fanout_logic = true;
       const core::MapResult without = core::map_network(design.network, base);
       const core::MapResult with = core::map_network(design.network, dup);
-      if (!sim::equivalent(sim::design_of(source),
-                           sim::design_of(with.circuit)))
+      if (!verify::check(source, with.circuit, verify::Level::kSimulate).ok())
         ++failures;
       base_total[k] += without.stats.num_luts;
       dup_total[k] += with.stats.num_luts;

@@ -12,7 +12,7 @@
 #include "libmap/subject.hpp"
 #include "mcnc/generators.hpp"
 #include "opt/script.hpp"
-#include "sim/simulate.hpp"
+#include "verify/verify.hpp"
 
 using namespace chortle;
 
@@ -33,7 +33,7 @@ int main() {
     const net::Network subject =
         libmap::build_subject_graph(design.network);
     const flowmap::FlowMapResult fm = flowmap::flowmap(subject, k);
-    if (!sim::equivalent(sim::design_of(source), sim::design_of(fm.circuit)))
+    if (!verify::check(source, fm.circuit, verify::Level::kSimulate).ok())
       ++failures;
     std::printf("%-8s %12d %12d %12d %12d\n", name.c_str(),
                 chortle.stats.num_luts, chortle.stats.depth,

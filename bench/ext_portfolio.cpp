@@ -13,261 +13,125 @@
 // count never exceeds any individual strategy's (ties break toward the
 // chortle fallback, so racing can only help), and a second pass with a
 // 1 ms budget — the starvation worst case — still returns a cover that
-// verifies by simulation and BDD against the source.
+// verifies. The unbudgeted winner is checked with verify::check at
+// kRoundTrip (simulation, BDD, BLIF write and re-read), the 1 ms cover
+// at kSimulate.
 //
 // Flags:
 //   --out PATH       JSON output (default BENCH_portfolio.json)
 //   --k N            LUT arity (default 6)
 //   --repeat R       timing repetitions, minimum reported (default 2)
-//   --check PATH     compare against a committed baseline: LUT count,
-//                    depth, winner, and stitched-tree count must match
-//                    exactly; total wall time must be within
-//                    --tolerance (default 0.15). Exits 3 on a perf
-//                    regression, 1 on any exact mismatch.
+//   --check PATH     gate against a committed baseline
+//                    (bench/table_common.hpp): every field but the
+//                    seconds — LUT counts, depth, winner, stitched
+//                    trees, solo counts, BLIF hash — must match exactly,
+//                    and the summed seconds may drift up to 15%. Exits 3
+//                    on a perf regression, 1 on any exact mismatch, 2 on
+//                    an unusable baseline.
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "base/fnv.hpp"
 #include "base/timer.hpp"
-#include "bdd/equiv.hpp"
 #include "blif/blif.hpp"
 #include "chortle/imapper.hpp"
 #include "mcnc/generators.hpp"
 #include "obs/json.hpp"
 #include "opt/script.hpp"
 #include "portfolio/portfolio.hpp"
-#include "sim/simulate.hpp"
+#include "table_common.hpp"
+#include "verify/verify.hpp"
 
 namespace chortle::bench {
 namespace {
 
-struct Flags {
+int run(int argc, char** argv) {
   std::string out = "BENCH_portfolio.json";
   std::string check;
   int k = 6;
   int repeat = 2;
-  double tolerance = 0.15;
-  bool bad = false;
-};
-
-Flags parse_flags(int argc, char** argv) {
-  Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) {
-      flags.out = argv[++i];
-    } else if (arg == "--check" && i + 1 < argc) {
-      flags.check = argv[++i];
-    } else if (arg == "--k" && i + 1 < argc) {
-      flags.k = std::atoi(argv[++i]);
-    } else if (arg == "--repeat" && i + 1 < argc) {
-      flags.repeat = std::atoi(argv[++i]);
-    } else if (arg == "--tolerance" && i + 1 < argc) {
-      flags.tolerance = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr,
+  if (!parse_flags(argc, argv,
+                   {{"--out", &out},
+                    {"--check", &check},
+                    {"--k", &k},
+                    {"--repeat", &repeat}},
                    "usage: ext_portfolio [--out FILE] [--k N] [--repeat R]\n"
-                   "                     [--check FILE] [--tolerance F]\n");
-      flags.bad = true;
-      return flags;
-    }
-  }
-  if (flags.k < 2 || flags.k > 6 || flags.repeat < 1) {
+                   "                     [--check FILE]\n"))
+    return 2;
+  if (k < 2 || k > 6 || repeat < 1) {
     std::fprintf(stderr, "ext_portfolio: bad flag values\n");
-    flags.bad = true;
-  }
-  return flags;
-}
-
-struct Row {
-  std::string name;
-  int k = 0;
-  int luts = 0;
-  int depth = 0;
-  std::string winner;
-  int stitched_trees = 0;
-  std::map<std::string, int> solo_luts;  // strategy name -> whole cover
-  std::string blif_hash;
-  double seconds = 0.0;
-};
-
-int check_against_baseline(const std::vector<Row>& rows, const Flags& flags) {
-  std::ifstream in(flags.check);
-  if (!in) {
-    std::fprintf(stderr, "ext_portfolio: cannot open baseline %s\n",
-                 flags.check.c_str());
     return 2;
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const obs::Json baseline = obs::Json::parse(buffer.str());
-  const obs::Json* bench_rows = baseline.find("benchmarks");
-  if (bench_rows == nullptr || !bench_rows->is_array()) {
-    std::fprintf(stderr, "ext_portfolio: baseline has no benchmarks array\n");
-    return 2;
-  }
-  std::map<std::pair<std::string, int>, const obs::Json*> base_by_key;
-  for (const obs::Json& row : bench_rows->as_array()) {
-    const obs::Json* name = row.find("name");
-    const obs::Json* k = row.find("k");
-    if (name != nullptr && k != nullptr)
-      base_by_key[{name->as_string(), static_cast<int>(k->as_int())}] = &row;
-  }
 
-  int mismatches = 0;
-  int compared = 0;
-  double base_seconds = 0.0;
-  double current_seconds = 0.0;
-  for (const Row& row : rows) {
-    const auto it = base_by_key.find({row.name, row.k});
-    if (it == base_by_key.end()) continue;
-    ++compared;
-    const obs::Json& base_row = *it->second;
-    const struct {
-      const char* field;
-      int current;
-    } exact[] = {{"luts", row.luts},
-                 {"depth", row.depth},
-                 {"stitched_trees", row.stitched_trees}};
-    for (const auto& check : exact) {
-      if (const obs::Json* v = base_row.find(check.field);
-          v != nullptr && v->as_int() != check.current) {
-        std::fprintf(stderr,
-                     "ext_portfolio: %s mismatch vs baseline: %s K=%d "
-                     "(baseline %lld, current %d)\n",
-                     check.field, row.name.c_str(), row.k,
-                     static_cast<long long>(v->as_int()), check.current);
-        ++mismatches;
-      }
-    }
-    if (const obs::Json* v = base_row.find("winner");
-        v != nullptr && v->as_string() != row.winner) {
-      std::fprintf(stderr,
-                   "ext_portfolio: winner mismatch vs baseline: %s K=%d "
-                   "(baseline %s, current %s)\n",
-                   row.name.c_str(), row.k, v->as_string().c_str(),
-                   row.winner.c_str());
-      ++mismatches;
-    }
-    current_seconds += row.seconds;
-    if (const obs::Json* v = base_row.find("seconds"); v != nullptr)
-      base_seconds += v->as_number();
-  }
-  if (compared == 0) {
-    std::fprintf(stderr,
-                 "ext_portfolio: baseline shares no (name, K) rows\n");
-    return 2;
-  }
-  if (mismatches > 0) return 1;
-
-  // Wall time is machine-dependent; only the totals are compared, and
-  // only when the baseline is above timing resolution.
-  if (base_seconds >= 0.005) {
-    const double ratio = current_seconds / base_seconds;
-    std::printf("check seconds  baseline %8.4fs  current %8.4fs  ratio %.2f\n",
-                base_seconds, current_seconds, ratio);
-    if (ratio > 1.0 + flags.tolerance) {
-      std::fprintf(stderr,
-                   "ext_portfolio: wall time regressed %.0f%% (> %.0f%% "
-                   "tolerance)\n",
-                   (ratio - 1.0) * 100.0, flags.tolerance * 100.0);
-      return 3;
-    }
-  }
-  return 0;
-}
-
-int run(const Flags& flags) {
   portfolio::ensure_registered();
   const std::vector<const core::IMapper*> lineup =
       portfolio::default_strategies();
   std::printf("Extension: portfolio race (full lineup, no budget), K=%d\n",
-              flags.k);
+              k);
   std::printf("%-8s %6s %6s %-9s %6s %6s %6s %6s %6s %9s\n", "circuit",
               "luts", "depth", "winner", "stitch", "chor", "flow", "cut",
               "lib", "t(s)");
 
-  std::vector<Row> rows;
+  obs::Json rows = obs::Json::array();
   int failures = 0;
   long total_luts = 0;
   long total_depth = 0;
   long total_solo_best = 0;
+  double total_seconds = 0.0;
   for (const std::string& name : mcnc::benchmark_names()) {
     const sop::SopNetwork source = mcnc::generate(name);
     const opt::OptimizedDesign design = opt::optimize(source);
 
     core::Options options;
-    options.k = flags.k;
-
-    Row row;
-    row.name = name;
-    row.k = flags.k;
+    options.k = k;
 
     // Solo runs: every strategy alone on the whole network, the
     // attribution columns and the never-worse floor.
-    int solo_best = 0;
-    bool solo_first = true;
-    for (const core::IMapper* strategy : lineup) {
-      const core::MapResult solo = strategy->map(design.network, options);
-      row.solo_luts[strategy->name()] = solo.stats.num_luts;
-      if (solo_first || solo.stats.num_luts < solo_best)
-        solo_best = solo.stats.num_luts;
-      solo_first = false;
-    }
+    std::map<std::string, int> solo_luts;  // strategy name -> whole cover
+    for (const core::IMapper* strategy : lineup)
+      solo_luts[strategy->name()] =
+          strategy->map(design.network, options).stats.num_luts;
+    const int solo_best =
+        std::min_element(solo_luts.begin(), solo_luts.end(),
+                         [](const auto& a, const auto& b) {
+                           return a.second < b.second;
+                         })
+            ->second;
 
     // The race, unbudgeted: deterministic winner set and output.
     portfolio::PortfolioConfig race;
     race.objective = portfolio::Objective::kLuts;
     race.budget_ms = -1;
     portfolio::PortfolioStats stats;
-    core::MapResult result{net::LutCircuit(flags.k), core::MapStats{}};
-    for (int r = 0; r < flags.repeat; ++r) {
+    core::MapResult result{net::LutCircuit(k), core::MapStats{}};
+    double seconds = 0.0;
+    for (int r = 0; r < repeat; ++r) {
       WallTimer timer;
       result = portfolio::default_portfolio().map_with(design.network,
                                                        options, race,
                                                        &stats);
-      const double seconds = timer.seconds();
-      if (r == 0 || seconds < row.seconds) row.seconds = seconds;
+      const double elapsed = timer.seconds();
+      if (r == 0 || elapsed < seconds) seconds = elapsed;
     }
-    row.luts = result.stats.num_luts;
-    row.depth = result.stats.depth;
-    row.winner = stats.winner;
-    row.stitched_trees = stats.stitched_trees;
+    const int luts = result.stats.num_luts;
+    const int depth = result.stats.depth;
 
     bool ok = true;
     // Guarantee 1: racing never loses to the best solo strategy (nor,
     // in particular, to the chortle fallback).
-    if (row.luts > solo_best) {
+    if (luts > solo_best) {
       std::fprintf(stderr,
                    "ext_portfolio: %s portfolio %d LUTs worse than best "
                    "solo %d\n",
-                   name.c_str(), row.luts, solo_best);
+                   name.c_str(), luts, solo_best);
       ok = false;
     }
-
-    // Verify the winning cover: simulation + BDD against the source,
-    // then again through a BLIF round-trip.
-    const std::string blif =
-        blif::write_blif_string(result.circuit, name + "_portfolio");
-    row.blif_hash = base::fnv1a64_hex(blif);
     if (ok)
-      ok = sim::equivalent(sim::design_of(source),
-                           sim::design_of(result.circuit));
-    if (ok) {
-      const bdd::FormalOutcome formal =
-          bdd::check_equivalence(source, result.circuit);
-      ok = formal.status != bdd::FormalOutcome::Status::kDifferent;
-    }
-    if (ok) {
-      const blif::BlifModel round_trip = blif::read_blif_string(blif);
-      ok = sim::equivalent(sim::design_of(source),
-                           sim::design_of(round_trip.network));
-    }
+      ok = verify::check(source, result.circuit, verify::Level::kRoundTrip)
+               .ok();
 
     // Guarantee 2: a starved race (1 ms budget) still returns a
     // verified cover — the uncancellable fallback at worst.
@@ -277,8 +141,8 @@ int run(const Flags& flags) {
       const core::MapResult rushed = portfolio::default_portfolio()
                                          .map_with(design.network, options,
                                                    starved, nullptr);
-      ok = sim::equivalent(sim::design_of(source),
-                           sim::design_of(rushed.circuit));
+      ok = verify::check(source, rushed.circuit, verify::Level::kSimulate)
+               .ok();
       if (!ok)
         std::fprintf(stderr,
                      "ext_portfolio: %s 1ms-budget cover failed to verify\n",
@@ -287,71 +151,56 @@ int run(const Flags& flags) {
     if (!ok) ++failures;
 
     std::printf("%-8s %6d %6d %-9s %6d %6d %6d %6d %6d %9.4f%s\n",
-                name.c_str(), row.luts, row.depth, row.winner.c_str(),
-                row.stitched_trees, row.solo_luts["chortle"],
-                row.solo_luts["flowmap"], row.solo_luts["cutmap"],
-                row.solo_luts["libmap"], row.seconds,
-                ok ? "" : "  VERIFY-FAIL");
-    total_luts += row.luts;
-    total_depth += row.depth;
+                name.c_str(), luts, depth, stats.winner.c_str(),
+                stats.stitched_trees, solo_luts["chortle"],
+                solo_luts["flowmap"], solo_luts["cutmap"],
+                solo_luts["libmap"], seconds, ok ? "" : "  VERIFY-FAIL");
+    total_luts += luts;
+    total_depth += depth;
     total_solo_best += solo_best;
-    rows.push_back(std::move(row));
+    total_seconds += seconds;
+
+    obs::Json entry = obs::Json::object();
+    entry.set("name", name);
+    entry.set("k", k);
+    entry.set("luts", luts);
+    entry.set("depth", depth);
+    entry.set("winner", stats.winner);
+    entry.set("stitched_trees", stats.stitched_trees);
+    for (const auto& [strategy, strategy_luts] : solo_luts)
+      entry.set("luts_" + strategy, strategy_luts);
+    entry.set("blif_fnv1a64",
+              base::fnv1a64_hex(blif::write_blif_string(
+                  result.circuit, name + "_portfolio")));
+    entry.set("seconds", seconds);
+    rows.push_back(std::move(entry));
   }
   std::printf("%-8s %6ld %6ld  (best solo total %ld)\n", "total", total_luts,
               total_depth, total_solo_best);
 
+  const int num_rows = static_cast<int>(rows.as_array().size());
   obs::Json doc = obs::Json::object();
   doc.set("schema", "chortle-portfolio-bench/1");
-  doc.set("k", flags.k);
-  doc.set("repeat", flags.repeat);
-  obs::Json bench_rows = obs::Json::array();
-  double total_seconds = 0.0;
-  for (const Row& row : rows) {
-    obs::Json entry = obs::Json::object();
-    entry.set("name", row.name);
-    entry.set("k", row.k);
-    entry.set("luts", row.luts);
-    entry.set("depth", row.depth);
-    entry.set("winner", row.winner);
-    entry.set("stitched_trees", row.stitched_trees);
-    for (const auto& [strategy, luts] : row.solo_luts)
-      entry.set("luts_" + strategy, luts);
-    entry.set("blif_fnv1a64", row.blif_hash);
-    entry.set("seconds", row.seconds);
-    bench_rows.push_back(std::move(entry));
-    total_seconds += row.seconds;
-  }
-  doc.set("benchmarks", std::move(bench_rows));
+  doc.set("k", k);
+  doc.set("repeat", repeat);
+  doc.set("benchmarks", std::move(rows));
   obs::Json totals = obs::Json::object();
-  totals.set("rows", static_cast<int>(rows.size()));
+  totals.set("rows", num_rows);
   totals.set("luts", static_cast<std::int64_t>(total_luts));
   totals.set("depth", static_cast<std::int64_t>(total_depth));
   totals.set("best_solo_luts", static_cast<std::int64_t>(total_solo_best));
   totals.set("seconds", total_seconds);
   doc.set("totals", std::move(totals));
-  {
-    std::ofstream out(flags.out);
-    if (!out) {
-      std::fprintf(stderr, "ext_portfolio: cannot write %s\n",
-                   flags.out.c_str());
-      return 1;
-    }
-    doc.dump(out, 2);
-    out << "\n";
-  }
-  std::printf("total: %.4fs  -> %s\n", total_seconds, flags.out.c_str());
+  if (!write_json(doc, out, "ext_portfolio")) return 1;
+  std::printf("total: %.4fs  -> %s\n", total_seconds, out.c_str());
 
   if (failures > 0) return 1;
-  if (!flags.check.empty()) return check_against_baseline(rows, flags);
+  if (!check.empty())
+    return check_against_baseline(doc, check, "ext_portfolio");
   return 0;
 }
 
 }  // namespace
 }  // namespace chortle::bench
 
-int main(int argc, char** argv) {
-  const chortle::bench::Flags flags =
-      chortle::bench::parse_flags(argc, argv);
-  if (flags.bad) return 2;
-  return chortle::bench::run(flags);
-}
+int main(int argc, char** argv) { return chortle::bench::run(argc, argv); }

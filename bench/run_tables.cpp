@@ -30,17 +30,16 @@
 //   --label STR        free-form label recorded in the JSON
 //   --golden-out PATH  also write tests/golden-style TSV rows
 //                      (name, k, luts, blif_fnv1a64)
-//   --check PATH       compare against a previously written JSON:
-//                      exact LUT-count match, and total wall time per
-//                      mode within --tolerance (default 0.15) when the
-//                      baseline total is at least --min-seconds
-//                      (default 0.005). Exits 3 on a perf regression,
-//                      1 on any LUT/BLIF mismatch.
+//   --check PATH       gate against a previously written JSON
+//                      (bench/table_common.hpp): every field but the
+//                      seconds must match exactly, and each mode's
+//                      summed seconds may drift up to 15% when its
+//                      baseline total is at least 5 ms. Exits 3 on a
+//                      perf regression, 1 on any exact mismatch, 2 on
+//                      an unusable baseline.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -55,6 +54,7 @@
 #include "obs/json.hpp"
 #include "opt/script.hpp"
 #include "portfolio/portfolio.hpp"
+#include "table_common.hpp"
 
 namespace chortle::bench {
 namespace {
@@ -70,9 +70,6 @@ struct Flags {
   std::string label;
   std::string golden_out;
   std::string check;
-  double tolerance = 0.15;
-  double min_seconds = 0.005;
-  bool bad = false;
 };
 
 std::vector<std::string> split_csv(const std::string& csv) {
@@ -84,52 +81,32 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
-Flags parse_flags(int argc, char** argv) {
+/// nullopt (after a message) on a bad command line.
+std::optional<Flags> parse_command_line(int argc, char** argv) {
   Flags flags;
-  auto need_value = [&](int i) { return i + 1 < argc; };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out" && need_value(i)) {
-      flags.out = argv[++i];
-    } else if (arg == "--mapper" && need_value(i)) {
-      flags.mapper = argv[++i];
-    } else if (arg == "--benchmarks" && need_value(i)) {
-      flags.benchmarks = split_csv(argv[++i]);
-    } else if (arg == "--kmin" && need_value(i)) {
-      flags.kmin = std::atoi(argv[++i]);
-    } else if (arg == "--kmax" && need_value(i)) {
-      flags.kmax = std::atoi(argv[++i]);
-    } else if (arg == "--jobs" && need_value(i)) {
-      flags.jobs = std::atoi(argv[++i]);
-    } else if (arg == "--repeat" && need_value(i)) {
-      flags.repeat = std::atoi(argv[++i]);
-    } else if (arg == "--label" && need_value(i)) {
-      flags.label = argv[++i];
-    } else if (arg == "--golden-out" && need_value(i)) {
-      flags.golden_out = argv[++i];
-    } else if (arg == "--check" && need_value(i)) {
-      flags.check = argv[++i];
-    } else if (arg == "--tolerance" && need_value(i)) {
-      flags.tolerance = std::atof(argv[++i]);
-    } else if (arg == "--min-seconds" && need_value(i)) {
-      flags.min_seconds = std::atof(argv[++i]);
-    } else {
-      std::fprintf(stderr,
+  std::string benchmarks;
+  if (!parse_flags(argc, argv,
+                   {{"--out", &flags.out},
+                    {"--mapper", &flags.mapper},
+                    {"--benchmarks", &benchmarks},
+                    {"--kmin", &flags.kmin},
+                    {"--kmax", &flags.kmax},
+                    {"--jobs", &flags.jobs},
+                    {"--repeat", &flags.repeat},
+                    {"--label", &flags.label},
+                    {"--golden-out", &flags.golden_out},
+                    {"--check", &flags.check}},
                    "usage: run_tables [--out FILE] [--mapper NAME]\n"
                    "                  [--benchmarks a,b,c]\n"
                    "                  [--kmin N] [--kmax N] [--jobs N]\n"
                    "                  [--repeat R] [--label STR]\n"
-                   "                  [--golden-out FILE]\n"
-                   "                  [--check FILE] [--tolerance F]\n"
-                   "                  [--min-seconds F]\n");
-      flags.bad = true;
-      return flags;
-    }
-  }
+                   "                  [--golden-out FILE] [--check FILE]\n"))
+    return std::nullopt;
+  flags.benchmarks = split_csv(benchmarks);
   if (flags.kmin < 2 || flags.kmax > 6 || flags.kmin > flags.kmax ||
       flags.jobs < 1 || flags.repeat < 1) {
     std::fprintf(stderr, "run_tables: bad flag values\n");
-    flags.bad = true;
+    return std::nullopt;
   }
   return flags;
 }
@@ -165,97 +142,6 @@ double time_mapping(int repeat, MapFn map, std::string* blif_out,
     }
   }
   return best;
-}
-
-int check_against_baseline(const std::vector<Row>& rows, const Flags& flags) {
-  std::ifstream in(flags.check);
-  if (!in) {
-    std::fprintf(stderr, "run_tables: cannot open baseline %s\n",
-                 flags.check.c_str());
-    return 2;
-  }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const obs::Json baseline = obs::Json::parse(buffer.str());
-  const obs::Json* bench_rows = baseline.find("benchmarks");
-  if (bench_rows == nullptr || !bench_rows->is_array()) {
-    std::fprintf(stderr, "run_tables: baseline has no benchmarks array\n");
-    return 2;
-  }
-
-  std::map<std::pair<std::string, int>, const obs::Json*> base_by_key;
-  for (const obs::Json& row : bench_rows->as_array()) {
-    const obs::Json* name = row.find("name");
-    const obs::Json* k = row.find("k");
-    if (name != nullptr && k != nullptr)
-      base_by_key[{name->as_string(), static_cast<int>(k->as_int())}] = &row;
-  }
-
-  int mismatches = 0;
-  struct ModeTotal {
-    const char* field;
-    double current = 0.0;
-    double base = 0.0;
-  };
-  ModeTotal totals[] = {{"seconds_serial"},
-                        {"seconds_jobs"},
-                        {"seconds_cache_cold"},
-                        {"seconds_cache_warm"}};
-  int compared = 0;
-  for (const Row& row : rows) {
-    const auto it = base_by_key.find({row.name, row.k});
-    if (it == base_by_key.end()) continue;
-    ++compared;
-    const obs::Json& base_row = *it->second;
-    if (const obs::Json* luts = base_row.find("luts");
-        luts != nullptr && luts->as_int() != row.luts) {
-      std::fprintf(stderr,
-                   "run_tables: LUT count mismatch vs baseline: %s K=%d "
-                   "(baseline %lld, current %d)\n",
-                   row.name.c_str(), row.k,
-                   static_cast<long long>(luts->as_int()), row.luts);
-      ++mismatches;
-    }
-    // Depth is exact, like the LUT count — but older baselines predate
-    // the field, so only compare when the baseline row carries it.
-    if (const obs::Json* depth = base_row.find("depth");
-        depth != nullptr && depth->as_int() != row.depth) {
-      std::fprintf(stderr,
-                   "run_tables: depth mismatch vs baseline: %s K=%d "
-                   "(baseline %lld, current %d)\n",
-                   row.name.c_str(), row.k,
-                   static_cast<long long>(depth->as_int()), row.depth);
-      ++mismatches;
-    }
-    const double current[] = {row.seconds_serial, row.seconds_jobs,
-                              row.seconds_cache_cold, row.seconds_cache_warm};
-    for (int m = 0; m < 4; ++m) {
-      totals[m].current += current[m];
-      if (const obs::Json* v = base_row.find(totals[m].field);
-          v != nullptr)
-        totals[m].base += v->as_number();
-    }
-  }
-  if (compared == 0) {
-    std::fprintf(stderr, "run_tables: baseline shares no (name, K) rows\n");
-    return 2;
-  }
-  if (mismatches > 0) return 1;
-
-  int regressions = 0;
-  for (const ModeTotal& t : totals) {
-    if (t.base < flags.min_seconds) continue;  // below timing resolution
-    const double ratio = t.current / t.base;
-    std::printf("check %-18s baseline %8.4fs  current %8.4fs  ratio %.2f\n",
-                t.field, t.base, t.current, ratio);
-    if (ratio > 1.0 + flags.tolerance) {
-      std::fprintf(stderr,
-                   "run_tables: %s regressed %.0f%% (> %.0f%% tolerance)\n",
-                   t.field, (ratio - 1.0) * 100.0, flags.tolerance * 100.0);
-      ++regressions;
-    }
-  }
-  return regressions > 0 ? 3 : 0;
 }
 
 int run(const Flags& flags) {
@@ -397,16 +283,7 @@ int run(const Flags& flags) {
   totals.set("seconds_cache_warm", total[3]);
   doc.set("totals", std::move(totals));
 
-  {
-    std::ofstream out(flags.out);
-    if (!out) {
-      std::fprintf(stderr, "run_tables: cannot write %s\n",
-                   flags.out.c_str());
-      return 1;
-    }
-    doc.dump(out, 2);
-    out << "\n";
-  }
+  if (!write_json(doc, flags.out, "run_tables")) return 1;
   std::printf("total: serial %.4fs  jobs %.4fs  cold %.4fs  warm %.4fs  "
               "-> %s\n",
               total[0], total[1], total[2], total[3], flags.out.c_str());
@@ -425,7 +302,8 @@ int run(const Flags& flags) {
   }
 
   if (blif_mismatches > 0) return 1;
-  if (!flags.check.empty()) return check_against_baseline(rows, flags);
+  if (!flags.check.empty())
+    return check_against_baseline(doc, flags.check, "run_tables");
   return 0;
 }
 
@@ -433,8 +311,7 @@ int run(const Flags& flags) {
 }  // namespace chortle::bench
 
 int main(int argc, char** argv) {
-  const chortle::bench::Flags flags =
-      chortle::bench::parse_flags(argc, argv);
-  if (flags.bad) return 2;
-  return chortle::bench::run(flags);
+  const auto flags = chortle::bench::parse_command_line(argc, argv);
+  if (!flags) return 2;
+  return chortle::bench::run(*flags);
 }

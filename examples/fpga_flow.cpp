@@ -3,17 +3,18 @@
 // built here:
 //
 //   BLIF in -> optimize (sweep/simplify/extract) -> Chortle mapping
-//   with cost-driven fanout duplication -> formal (BDD) equivalence
-//   proof -> XC3000-style CLB packing -> structural Verilog out.
+//   with cost-driven fanout duplication -> simulation plus formal
+//   (BDD) equivalence proof -> XC3000-style CLB packing -> structural
+//   Verilog out.
 #include <cstdio>
 
 #include "arch/clb.hpp"
-#include "bdd/equiv.hpp"
 #include "blif/blif.hpp"
 #include "blif/verilog.hpp"
 #include "chortle/mapper.hpp"
 #include "mcnc/generators.hpp"
 #include "opt/script.hpp"
+#include "verify/verify.hpp"
 
 int main() {
   using namespace chortle;
@@ -43,20 +44,16 @@ int main() {
               mapped.stats.duplicated_roots);
 
   // Formal proof of equivalence (not just simulation).
-  const bdd::FormalOutcome proof =
-      bdd::check_equivalence(model.network, mapped.circuit);
-  switch (proof.status) {
-    case bdd::FormalOutcome::Status::kEquivalent:
-      std::printf("formal check: EQUIVALENT (proved by BDD)\n");
-      break;
-    case bdd::FormalOutcome::Status::kDifferent:
-      std::printf("formal check: DIFFERENT at output %s\n",
-                  proof.output_name.c_str());
-      return 1;
-    case bdd::FormalOutcome::Status::kInconclusive:
-      std::printf("formal check: inconclusive (%s)\n", proof.note.c_str());
-      break;
+  const verify::Verdict proof =
+      verify::check(model.network, mapped.circuit, verify::Level::kFormal);
+  if (!proof.ok()) {
+    std::printf("formal check: FAILED (%s)\n", proof.detail.c_str());
+    return 1;
   }
+  if (proof.formal == verify::Verdict::Formal::kInconclusive)
+    std::printf("formal check: inconclusive (%s)\n", proof.detail.c_str());
+  else
+    std::printf("formal check: EQUIVALENT (proved by BDD)\n");
 
   // Commercial-architecture packing.
   const arch::ClbPacking packing = arch::pack_clbs(mapped.circuit);
@@ -75,5 +72,5 @@ int main() {
     pos = next == std::string::npos ? next : next + 1;
   }
   std::printf("...\n");
-  return proof.status == bdd::FormalOutcome::Status::kDifferent ? 1 : 0;
+  return 0;
 }

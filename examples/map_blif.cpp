@@ -28,7 +28,7 @@
 #include "opt/decompose.hpp"
 #include "opt/script.hpp"
 #include "portfolio/portfolio.hpp"
-#include "sim/simulate.hpp"
+#include "verify/verify.hpp"
 
 namespace {
 
@@ -180,9 +180,11 @@ int main(int argc, char** argv) {
                    result.stats.portfolio_stitched_trees,
                    objective_name.c_str());
 
-    if (!sim::equivalent(sim::design_of(model.network),
-                         sim::design_of(circuit))) {
-      std::fprintf(stderr, "map_blif: VERIFICATION FAILED\n");
+    const verify::Verdict verdict =
+        verify::check(model.network, circuit, verify::Level::kSimulate);
+    if (!verdict.ok()) {
+      std::fprintf(stderr, "map_blif: VERIFICATION FAILED: %s\n",
+                   verdict.detail.c_str());
       return 1;
     }
     std::fprintf(stderr, "map_blif: mapped to %d %d-input LUTs (verified)\n",

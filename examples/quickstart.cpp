@@ -13,7 +13,7 @@
 #include "blif/blif.hpp"
 #include "chortle/mapper.hpp"
 #include "opt/script.hpp"
-#include "sim/simulate.hpp"
+#include "verify/verify.hpp"
 
 int main() {
   using namespace chortle;
@@ -61,8 +61,9 @@ int main() {
               mapped.stats.depth);
 
   // 4. Verify against the original and print the LUT netlist.
-  const bool ok = sim::equivalent(sim::design_of(model.network),
-                                  sim::design_of(mapped.circuit));
+  const bool ok =
+      verify::check(model.network, mapped.circuit, verify::Level::kSimulate)
+          .ok();
   std::printf("verification: %s\n\n", ok ? "equivalent" : "MISMATCH");
   std::printf("%s", blif::write_blif_string(mapped.circuit,
                                             "quickstart_luts").c_str());

@@ -5,12 +5,11 @@
 // then deliberately corrupt one LUT and show that the checker catches
 // the bug and produces a concrete counterexample assignment.
 #include <cstdio>
-#include <optional>
 
 #include "chortle/mapper.hpp"
 #include "mcnc/generators.hpp"
 #include "opt/script.hpp"
-#include "sim/simulate.hpp"
+#include "verify/verify.hpp"
 
 int main() {
   using namespace chortle;
@@ -22,18 +21,18 @@ int main() {
   std::printf("mapped apex7 substitute: %d LUTs\n", mapped.stats.num_luts);
 
   // A healthy mapping verifies clean.
-  const auto healthy = sim::find_mismatch(sim::design_of(source),
-                                          sim::design_of(mapped.circuit));
+  const verify::Verdict healthy =
+      verify::check(source, mapped.circuit, verify::Level::kSimulate);
   std::printf("healthy circuit: %s\n",
-              healthy ? "MISMATCH (bug!)" : "equivalent");
+              healthy.ok() ? "equivalent" : "MISMATCH (bug!)");
 
   // Corrupt one LUT: rebuild the circuit with a single truth-table bit
   // flipped and let the checker hunt the difference down. A flipped
   // minterm can be unobservable (masked by downstream logic), so try
   // victims until the checker reports a difference.
-  std::optional<sim::Mismatch> mismatch;
+  verify::Verdict mismatch;
   int victims_tried = 0;
-  for (int victim = 0; victim < mapped.circuit.num_luts() && !mismatch;
+  for (int victim = 0; victim < mapped.circuit.num_luts() && mismatch.ok();
        ++victim) {
     net::LutCircuit corrupted(mapped.circuit.k());
     for (const std::string& name : mapped.circuit.input_names())
@@ -50,23 +49,20 @@ int main() {
         corrupted.add_output(o.name, o.signal, o.negated);
     }
     ++victims_tried;
-    mismatch = sim::find_mismatch(sim::design_of(source),
-                                  sim::design_of(corrupted));
+    mismatch = verify::check(source, corrupted, verify::Level::kSimulate);
   }
-  if (!mismatch) {
+  if (mismatch.ok()) {
     std::printf("corrupted circuit: every injected fault was masked\n");
     return 1;
   }
   std::printf("injected a single-bit fault (victim LUT #%d)\n",
               victims_tried - 1);
   std::printf("corrupted circuit: output '%s' differs; witness:",
-              mismatch->output_name.c_str());
-  const auto& inputs = sim::design_of(source).input_names;
+              mismatch.output_name.c_str());
   int shown = 0;
-  for (std::size_t i = 0; i < mismatch->input_values.size() && shown < 8;
-       ++i) {
-    if (mismatch->input_values[i]) {
-      std::printf(" %s=1", inputs[i].c_str());
+  for (std::size_t i = 0; i < mismatch.witness.size() && shown < 8; ++i) {
+    if (mismatch.witness[i]) {
+      std::printf(" %s=1", source.node(source.inputs()[i]).name.c_str());
       ++shown;
     }
   }

@@ -23,11 +23,9 @@
 // netlist at once) costs one solve, not one per request. The serving
 // layer leans on this for request coalescing (DESIGN.md §10).
 //
-// Kernel independence: the bit-parallel and scalar
-// (-DCHORTLE_SCALAR_KERNELS=ON) builds emit byte-identical mappings,
-// so keys carry no kernel discriminant — a cached entry is valid
-// under either build and the key format is stable across the kernel
-// rewrite (DESIGN.md §11).
+// Kernel independence: keys describe the tree, not the truth-table
+// kernel that emits its LUTs, so cached entries survive kernel changes
+// that keep the emitted BLIF byte-identical (DESIGN.md §11).
 //
 // Observability: hit/miss/insert/evict counters both in the instance
 // (stats(), for per-server reporting) and in the global metrics

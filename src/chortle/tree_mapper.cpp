@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <memory>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -18,17 +17,6 @@ namespace chortle::core {
 namespace {
 
 int lowest_bit(std::uint32_t mask) { return std::countr_zero(mask); }
-
-// The emitted Lut stores a scalar TruthTable regardless of which table
-// type built the mask; the packed kernel converts once per LUT. (Each
-// build uses exactly one overload, per CHORTLE_SCALAR_KERNELS.)
-[[maybe_unused]] truth::TruthTable to_lut_function(truth::TruthTable fn) {
-  return fn;
-}
-[[maybe_unused]] truth::TruthTable to_lut_function(
-    const truth::PackedTable& fn) {
-  return fn.to_truth();
-}
 
 }  // namespace
 
@@ -431,15 +419,7 @@ net::SignalId TreeMapper::emit_group_lut(EmitContext& ctx, int node,
 net::SignalId TreeMapper::emit_cone(EmitContext& ctx, const ConeProgram& prog,
                                     net::GateOp root_op, bool complemented,
                                     const std::string& name) const {
-#ifdef CHORTLE_SCALAR_KERNELS
-  // Differential baseline: the same evaluation over the heap-backed
-  // scalar TruthTable, kept buildable behind -DCHORTLE_SCALAR_KERNELS=ON
-  // for the kernel-equivalence fuzz mode and for bisecting emitter
-  // differences against the packed kernels.
-  using Table = truth::TruthTable;
-#else
   using Table = truth::PackedTable;
-#endif
 
   // Gather the distinct input signals in first-appearance order (the DP
   // counts repeated leaves separately — they are distinct leaf nodes of
@@ -486,12 +466,8 @@ net::SignalId TreeMapper::emit_cone(EmitContext& ctx, const ConeProgram& prog,
       top.acc |= value;
     }
   };
-  // Merge chains nest a frame per merged table; inline storage when the
-  // Table permits it (the scalar TruthTable owns heap words, so the
-  // differential build falls back to std::vector).
-  std::conditional_t<std::is_trivially_copyable_v<Table>,
-                     base::SmallVector<Frame, 16>, std::vector<Frame>>
-      frames;
+  // Merge chains nest a frame per merged table, stored inline.
+  base::SmallVector<Frame, 16> frames;
   frames.push_back(Frame{Table(), root_op, false, false});
   for (const ConeTok& tok : prog) {
     switch (tok.kind) {
@@ -528,7 +504,7 @@ net::SignalId TreeMapper::emit_cone(EmitContext& ctx, const ConeProgram& prog,
 
   net::Lut lut;
   lut.inputs.assign(inputs.begin(), inputs.end());
-  lut.function = to_lut_function(std::move(fn));
+  lut.function = fn.to_truth();
   lut.name = name;
   return ctx.circuit.add_lut(std::move(lut));
 }

@@ -19,10 +19,8 @@
 // hash collision can never alias two different trees.
 //
 // The key deliberately excludes anything about the kernel
-// implementation: the bit-parallel and scalar truth-table paths
-// produce byte-identical mappings (golden suite, both builds), so the
-// same signature is correct for both and cached entries survive
-// kernel changes that preserve the emitted BLIF.
+// implementation, so cached entries survive kernel changes that
+// preserve the emitted BLIF.
 #pragma once
 
 #include <string>

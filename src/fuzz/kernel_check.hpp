@@ -1,8 +1,8 @@
 // Kernel-equivalence mode of the fuzz harness: randomized cross-checks
 // of the bit-parallel truth::PackedTable kernels against the scalar
-// truth::TruthTable reference, the same pairing the mapper's two
-// emission builds (default vs -DCHORTLE_SCALAR_KERNELS=ON) rely on
-// being bit-identical. Every packed operation — construction, bit
+// truth::TruthTable reference: the mapper emits every LUT through the
+// packed kernels, and TruthTable is the general type they must match
+// bit for bit. Every packed operation — construction, bit
 // access, NOT/AND/OR/XOR, Shannon cofactors, conversions — is mirrored
 // on a TruthTable holding the same bits and the results compared
 // minterm for minterm, on tables up to PackedTable::kMaxVars (10)

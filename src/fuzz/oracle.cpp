@@ -4,7 +4,6 @@
 #include <map>
 #include <sstream>
 
-#include "bdd/equiv.hpp"
 #include "chortle/forest.hpp"
 #include "chortle/mapper.hpp"
 #include "cutmap/cutmap.hpp"
@@ -15,24 +14,10 @@
 #include "obs/metrics.hpp"
 #include "opt/script.hpp"
 #include "portfolio/portfolio.hpp"
-#include "sim/simulate.hpp"
+#include "verify/verify.hpp"
 
 namespace chortle::fuzz {
 namespace {
-
-std::string describe_mismatch(const sim::Mismatch& m) {
-  std::ostringstream os;
-  os << "output '" << m.output_name << "' differs under inputs ";
-  for (bool bit : m.input_values) os << (bit ? '1' : '0');
-  return os.str();
-}
-
-std::string describe_witness(const bdd::FormalOutcome& outcome) {
-  std::ostringstream os;
-  os << "output '" << outcome.output_name << "' differs under inputs ";
-  for (bool bit : outcome.witness) os << (bit ? '1' : '0');
-  return os.str();
-}
 
 /// The baseline mapper's library for a given K, built once per process
 /// (complete for K <= 3, level-0 kernels above, as the paper does).
@@ -94,7 +79,8 @@ class OracleRun {
     opt::OptimizedDesign design;
     try {
       design = opt::optimize(case_.network);
-      check_against_source("optimize", sim::design_of(design.network));
+      record("optimize", verify::check(case_.network, design.network,
+                                       verify::Level::kSimulate));
       check_forest_invariants(design.network);
     } catch (const std::exception& error) {
       fail("optimize", "exception", error.what());
@@ -126,30 +112,9 @@ class OracleRun {
     verdict_.failures.push_back(Failure{stage, kind, detail});
   }
 
-  /// Simulation (and, when feasible, BDD) comparison of `mapped`
-  /// against the original source network.
-  void check_against_source(const std::string& stage,
-                            const sim::Design& mapped) {
-    sim::EquivalenceOptions sim_options;
-    sim_options.random_words = options_.sim_random_words;
-    sim_options.seed = 0x5EEDull;
-    const auto mismatch =
-        sim::find_mismatch(sim::design_of(case_.network), mapped,
-                           sim_options);
-    if (mismatch) fail(stage, "sim-mismatch", describe_mismatch(*mismatch));
-  }
-
-  void check_bdd_against_source(const std::string& stage,
-                                const net::LutCircuit& circuit) {
-    if (static_cast<int>(case_.network.inputs().size()) >
-        options_.bdd_input_limit)
-      return;
-    verdict_.bdd_attempted = true;
-    const bdd::FormalOutcome outcome = bdd::check_equivalence(
-        case_.network, circuit, options_.bdd_max_nodes);
-    if (outcome.status == bdd::FormalOutcome::Status::kDifferent)
-      fail(stage, "bdd-different", describe_witness(outcome));
-    // kInconclusive: simulation already sampled the pair; not a failure.
+  void record(const std::string& stage, const verify::Verdict& verdict) {
+    if (!verdict.ok())
+      fail(stage, verify::to_string(verdict.kind), verdict.detail);
   }
 
   /// Paper §3: the forest partition must place every live gate in
@@ -201,34 +166,22 @@ class OracleRun {
     }
   }
 
-  /// Invariants every mapped circuit must satisfy regardless of backend.
-  void check_structure(const std::string& stage,
-                       const net::LutCircuit& circuit, int reported_luts) {
-    circuit.check();
-    if (circuit.k() != case_.options.k) {
+  /// The case-specific checks (requested K, reported LUT count), then
+  /// the shared checker at kFormal. The circuit's own invariants — LUT
+  /// fanins within its K, acyclicity — are verify::check's structure
+  /// checks.
+  void check_circuit(const std::string& stage,
+                     const net::LutCircuit& circuit, int reported_luts) {
+    if (circuit.k() != case_.options.k)
       fail(stage, "structure", "circuit K does not match the requested K");
-      return;
-    }
-    for (const net::Lut& lut : circuit.luts()) {
-      if (static_cast<int>(lut.inputs.size()) > case_.options.k) {
-        fail(stage, "structure",
-             "LUT '" + lut.name + "' has more than K inputs");
-        return;
-      }
-    }
     if (reported_luts != circuit.num_luts()) {
       std::ostringstream os;
       os << "reported " << reported_luts << " LUTs but the circuit has "
          << circuit.num_luts();
       fail(stage, "lut-count", os.str());
     }
-  }
-
-  void check_circuit(const std::string& stage,
-                     const net::LutCircuit& circuit, int reported_luts) {
-    check_structure(stage, circuit, reported_luts);
-    check_against_source(stage, sim::design_of(circuit));
-    check_bdd_against_source(stage, circuit);
+    record(stage,
+           verify::check(case_.network, circuit, verify::Level::kFormal));
   }
 
   void run_backend(Backend backend, const net::Network& mapper_input) {

@@ -13,7 +13,7 @@
 #include "base/check.hpp"
 #include "chortle/forest.hpp"
 #include "obs/metrics.hpp"
-#include "sim/simulate.hpp"
+#include "verify/verify.hpp"
 
 namespace chortle::portfolio {
 namespace {
@@ -89,19 +89,14 @@ TreeSubnet extract_tree(const net::Network& parent, const core::Tree& tree) {
   return out;
 }
 
-/// Verifies a mapping result against the network it covers and wraps it
-/// as a Candidate; nullopt when the cover fails structural or
-/// simulation checks. Racer results pass through here so an unsound
+/// Verifies a mapping result against the network it covers
+/// (verify::check at kSimulate) and wraps it as a Candidate; nullopt
+/// when the cover fails. Racer results pass through here so an unsound
 /// strategy can lose the race but never corrupt the output.
 std::optional<Candidate> make_candidate(const net::Network& subject,
                                         net::LutCircuit circuit, int rank) {
-  try {
-    circuit.check();
-    if (!sim::equivalent(sim::design_of(subject), sim::design_of(circuit)))
-      return std::nullopt;
-  } catch (...) {
+  if (!verify::check(subject, circuit, verify::Level::kSimulate).ok())
     return std::nullopt;
-  }
   Candidate candidate{std::move(circuit), 0, 0, rank};
   candidate.luts = candidate.circuit.num_luts();
   candidate.depth = candidate.circuit.depth();

@@ -126,7 +126,7 @@ struct MapRequest {
   int split_threshold = 10;
   bool search_decompositions = true;
   bool optimize = false;          // run the full optimization script first
-  bool verify = false;            // BDD-equivalence-check the served result
+  bool verify = false;            // verify::check the result at kFormal
   std::int64_t deadline_ms = -1;  // budget from server receipt; < 0 = none
   /// Backend to map with (proto >= 3): a core::mapper_names() name.
   std::string mapper = "chortle";

@@ -18,7 +18,6 @@
 #include "base/cancel.hpp"
 #include "base/logging.hpp"
 #include "base/timer.hpp"
-#include "bdd/equiv.hpp"
 #include "blif/blif.hpp"
 #include "chortle/imapper.hpp"
 #include "chortle/mapper.hpp"
@@ -28,6 +27,7 @@
 #include "opt/decompose.hpp"
 #include "opt/script.hpp"
 #include "portfolio/portfolio.hpp"
+#include "verify/verify.hpp"
 
 namespace chortle::serve {
 namespace {
@@ -840,24 +840,23 @@ MapResponse Server::process_request(const Frame& frame,
     response.status = "ok";
     if (request.verify) {
       token.check("serve.verify");
-      const bdd::FormalOutcome outcome =
-          bdd::check_equivalence(model.network, mapped.circuit);
-      switch (outcome.status) {
-        case bdd::FormalOutcome::Status::kEquivalent:
-          response.verified = "equivalent";
-          break;
-        case bdd::FormalOutcome::Status::kDifferent:
-          response.verified = "different";
-          response.status = "internal";
-          response.error = "equivalence check found a counterexample at "
-                           "output " + outcome.output_name;
-          response.blif.clear();
-          break;
-        case bdd::FormalOutcome::Status::kInconclusive:
-          // Still served: the mapping is believed correct, the oracle
-          // just ran out of node budget. The caller sees which.
-          response.verified = "inconclusive";
-          break;
+      const verify::Verdict verdict = verify::check(
+          model.network, mapped.circuit, verify::Level::kFormal);
+      if (!verdict.ok()) {
+        response.verified = "different";
+        response.status = "internal";
+        response.error =
+            verdict.kind == verify::Verdict::Kind::kStructure
+                ? "verification failed: " + verdict.detail
+                : "equivalence check found a counterexample at output " +
+                      verdict.output_name;
+        response.blif.clear();
+      } else if (verdict.formal == verify::Verdict::Formal::kInconclusive) {
+        // Still served: simulation passed and the BDD check just ran
+        // out of node budget. The caller sees which.
+        response.verified = "inconclusive";
+      } else {
+        response.verified = "equivalent";
       }
     }
   } catch (const base::Cancelled& error) {

@@ -1,8 +1,9 @@
 // fuzz_mapper: the differential fuzzing harness for the whole mapping
 // pipeline. Samples random networks across the generator parameter
 // space, runs each through optimize -> chortle / flowmap / libmap, and
-// cross-checks every result against the source by simulation (and BDD
-// equivalence when small enough) plus structural invariants. Any
+// cross-checks every result against the source with verify::check
+// (structure, simulation and BDD equivalence) plus the case's own
+// invariants. Any
 // failure is shrunk to a minimal counterexample and written into the
 // corpus directory as a replayable BLIF reproducer.
 //
