@@ -13,7 +13,8 @@
 
 namespace chortle::obs {
 
-RunReport::RunReport(std::string tool) : tool_(std::move(tool)) {}
+RunReport::RunReport(std::string tool, std::size_t max_benchmarks)
+    : tool_(std::move(tool)), max_benchmarks_(max_benchmarks) {}
 
 void RunReport::set_option(const std::string& name, Json value) {
   options_.set(name, std::move(value));
@@ -45,7 +46,10 @@ void RunReport::set_field(const std::string& name, Json value) {
 }
 
 void RunReport::add_benchmark(Json entry) {
-  benchmarks_.push_back(std::move(entry));
+  Json::Array& rows = benchmarks_.as_array();
+  if (!rows.empty() && rows.size() >= max_benchmarks_)
+    rows.erase(rows.begin());
+  rows.push_back(std::move(entry));
 }
 
 void RunReport::capture_metrics(MetricsSnapshot snapshot) {

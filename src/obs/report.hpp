@@ -7,6 +7,7 @@
 // in DESIGN.md §8.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <utility>
@@ -22,8 +23,10 @@ inline constexpr const char* kRunReportSchema = "chortle-run-report/1";
 
 class RunReport {
  public:
-  /// Starts the total-wall-time clock.
-  explicit RunReport(std::string tool);
+  /// Starts the total-wall-time clock. A long-lived writer (the
+  /// server) caps the "benchmarks" array at `max_benchmarks` entries.
+  explicit RunReport(std::string tool,
+                     std::size_t max_benchmarks = SIZE_MAX);
 
   void set_option(const std::string& name, Json value);
   /// Accumulates `seconds` into the named phase.
@@ -33,7 +36,8 @@ class RunReport {
   double phases_total_seconds() const;
   /// Extra top-level field (totals, failure counts, ...).
   void set_field(const std::string& name, Json value);
-  /// Appends one entry to the "benchmarks" array.
+  /// Appends one entry to the "benchmarks" array, dropping the oldest
+  /// entry once the array holds `max_benchmarks` of them.
   void add_benchmark(Json entry);
   /// Fixes the metrics section to `snapshot`. Without this call,
   /// to_json() snapshots Registry::global() at serialization time.
@@ -53,6 +57,7 @@ class RunReport {
   std::vector<std::pair<std::string, double>> phases_;
   Json extras_ = Json::object();
   Json benchmarks_ = Json::array();
+  std::size_t max_benchmarks_;
   MetricsSnapshot metrics_;
   bool metrics_captured_ = false;
 };

@@ -1,7 +1,7 @@
 // Schema of the live service introspection snapshot
 // ("chortle-serve-stats/1"): what a STATS frame returns, what
-// chortle_client --stats prints, and what bench/ext_serve reads its
-// server-side percentiles from. The validator lives next to the other
+// chortle_client --stats prints and what chortle_serve --stats-log-s
+// summarizes. The validator lives next to the other
 // observability-artifact checks so tools/obs_check and the adversarial
 // test suite share one implementation with the producers.
 //

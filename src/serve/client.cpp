@@ -84,7 +84,6 @@ Client& Client::operator=(Client&& other) noexcept {
 
 MapResponse Client::map(const MapRequest& request) {
   MapRequest outgoing = request;
-  outgoing.proto = kProtocolVersion;
   if (!outgoing.context.valid())
     outgoing.context = obs::RequestContext::generate();
   obs::TraceSpan span("client.map", outgoing.context);

@@ -1,9 +1,9 @@
 // Client side of the mapping service: a thin blocking wrapper around
 // one connection to chortle_serve. One Client is one request stream —
 // requests on it are served in order by a single server worker; open
-// several Clients for concurrent in-flight requests (bench/ext_serve
-// does exactly that). Not thread-safe: callers serialize map() calls
-// per Client.
+// several Clients for concurrent in-flight requests (bench/suite's
+// serve workloads do exactly that). Not thread-safe: callers serialize
+// map() calls per Client.
 #pragma once
 
 #include <string>
@@ -29,10 +29,9 @@ class Client {
   /// Sends one mapping request (request.blif is the payload) and blocks
   /// for the response. A non-"ok" status is returned, not thrown;
   /// throws only on transport errors (connection lost, malformed
-  /// response frame). Always advertises kProtocolVersion and attaches a
-  /// trace context (the request's own, or a freshly generated one), so
-  /// client-side "client.map" spans and the server's per-stage spans
-  /// share a trace id; against a v1 server the extra fields are ignored.
+  /// response frame). Always attaches a trace context (the request's
+  /// own, or a freshly generated one), so client-side "client.map"
+  /// spans and the server's per-stage spans share a trace id.
   MapResponse map(const MapRequest& request);
 
   /// Fetches a live chortle-serve-stats/1 snapshot over this

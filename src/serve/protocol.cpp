@@ -260,19 +260,13 @@ obs::Json encode_request_header(const MapRequest& request) {
   header.set("optimize", request.optimize);
   header.set("verify", request.verify);
   if (request.deadline_ms >= 0) header.set("deadline_ms", request.deadline_ms);
-  // Revision-gated fields ride along only when used, so a v1-shaped
-  // request stays byte-identical to what pre-revision clients produced
-  // (and a proto-2 request to what revision-2 clients produced).
-  if (request.proto >= 2) header.set("proto", request.proto);
   set_context_fields(header, request.context);
-  if (request.proto >= 3) {
-    if (!request.mapper.empty() && request.mapper != "chortle")
-      header.set("mapper", request.mapper);
-    if (!request.objective.empty() && request.objective != "luts")
-      header.set("objective", request.objective);
-    if (request.portfolio_budget_ms >= 0)
-      header.set("portfolio_budget_ms", request.portfolio_budget_ms);
-  }
+  if (!request.mapper.empty() && request.mapper != "chortle")
+    header.set("mapper", request.mapper);
+  if (!request.objective.empty() && request.objective != "luts")
+    header.set("objective", request.objective);
+  if (request.portfolio_budget_ms >= 0)
+    header.set("portfolio_budget_ms", request.portfolio_budget_ms);
   return header;
 }
 
@@ -294,7 +288,6 @@ MapRequest parse_map_request(const Frame& frame) {
   request.objective = get_string(frame.header, "objective", "luts");
   request.portfolio_budget_ms =
       get_int(frame.header, "portfolio_budget_ms", -1);
-  request.proto = get_bounded_int(frame.header, "proto", 1, 1, 1000);
   request.context.trace_id = get_hex_id(frame.header, "trace_id");
   request.context.span_id = get_hex_id(frame.header, "span_id");
   request.blif = frame.payload;
@@ -316,33 +309,26 @@ obs::Json encode_response_header(const MapResponse& response) {
   header.set("cache_misses", response.cache_misses);
   header.set("seconds", response.seconds);
   if (!response.verified.empty()) header.set("verified", response.verified);
-  if (response.proto >= 2) {
-    header.set("proto", response.proto);
-    set_context_fields(header, response.context);
-    // Revision-2-only so the v1 response stays byte-identical.
-    if (response.cache_coalesced > 0)
-      header.set("cache_coalesced", response.cache_coalesced);
-    if (response.has_stages) {
-      obs::Json stages = obs::Json::object();
-      stages.set("queue_wait", response.stages.queue_wait);
-      stages.set("parse", response.stages.parse);
-      stages.set("solve", response.stages.solve);
-      stages.set("emit", response.stages.emit);
-      header.set("stages", std::move(stages));
-    }
+  set_context_fields(header, response.context);
+  if (response.cache_coalesced > 0)
+    header.set("cache_coalesced", response.cache_coalesced);
+  if (response.stages != StageSeconds{}) {
+    obs::Json stages = obs::Json::object();
+    stages.set("queue_wait", response.stages.queue_wait);
+    stages.set("parse", response.stages.parse);
+    stages.set("solve", response.stages.solve);
+    stages.set("emit", response.stages.emit);
+    header.set("stages", std::move(stages));
   }
-  if (response.proto >= 3) {
-    // "chortle" stays implicit so a revision-3 response to a plain
-    // request matches the revision-2 bytes field-for-field.
-    if (!response.mapper.empty() && response.mapper != "chortle")
-      header.set("mapper", response.mapper);
-    if (!response.portfolio_winner.empty()) {
-      obs::Json portfolio = obs::Json::object();
-      portfolio.set("winner", response.portfolio_winner);
-      portfolio.set("cancelled", response.portfolio_cancelled);
-      portfolio.set("stitched_trees", response.portfolio_stitched_trees);
-      header.set("portfolio", std::move(portfolio));
-    }
+  // "chortle" stays implicit: the default backend needs no key.
+  if (!response.mapper.empty() && response.mapper != "chortle")
+    header.set("mapper", response.mapper);
+  if (!response.portfolio_winner.empty()) {
+    obs::Json portfolio = obs::Json::object();
+    portfolio.set("winner", response.portfolio_winner);
+    portfolio.set("cancelled", response.portfolio_cancelled);
+    portfolio.set("stitched_trees", response.portfolio_stitched_trees);
+    header.set("portfolio", std::move(portfolio));
   }
   return header;
 }
@@ -368,7 +354,6 @@ MapResponse parse_map_response(const Frame& frame) {
   if (seconds != nullptr && seconds->is_number())
     response.seconds = seconds->as_number();
   response.verified = get_string(frame.header, "verified", "");
-  response.proto = get_bounded_int(frame.header, "proto", 1, 1, 1000);
   response.context.trace_id = get_hex_id(frame.header, "trace_id");
   response.context.span_id = get_hex_id(frame.header, "span_id");
   if (const obs::Json* stages = frame.header.find("stages")) {
@@ -382,7 +367,6 @@ MapResponse parse_map_response(const Frame& frame) {
                            " must be a non-negative number");
       return field->as_number();
     };
-    response.has_stages = true;
     response.stages.queue_wait = stage("queue_wait");
     response.stages.parse = stage("parse");
     response.stages.solve = stage("solve");

@@ -23,18 +23,15 @@
 // "stats_request/1" frame instead returns a live chortle-serve-stats/1
 // snapshot as the response payload (obs/serve_stats.hpp).
 //
-// Version negotiation: a client advertising "proto": 2 in its request
-// header may attach a trace context ("trace_id"/"span_id", 16 hex
-// digits) and gets per-stage timings and the echoed trace id back in
-// its response. Revision 3 adds backend selection: "mapper" (a name
-// from core::mapper_names()), "objective" and "portfolio_budget_ms"
-// (portfolio-only tunables) on the request, and the winning mapper
-// plus portfolio race counters on the response. The server answers
-// with min(client proto, kProtocolVersion), and revision-gated fields
-// ride the wire only at their revision or later — so headers a proto
-// <= 2 client sees are byte-identical to what a revision-2 server
-// produced, and every parser ignores unknown fields (old client ↔ new
-// server and new client ↔ old server both keep working).
+// One header revision: the "map_request/1" / "map_response/1" type tag
+// is the revision. Everything past the basic mapping options is an
+// optional key, written only when it carries a value — a trace context
+// ("trace_id"/"span_id", 16 hex digits), backend selection ("mapper",
+// a core::mapper_names() name, with the portfolio-only "objective" and
+// "portfolio_budget_ms"), and on the response the per-stage timings,
+// "cache_coalesced", the winning "mapper" and the portfolio race
+// counters. Every parser ignores keys it does not know, so a peer that
+// still sends the retired "proto" key is served as usual.
 #pragma once
 
 #include <cstdint>
@@ -56,11 +53,6 @@ inline constexpr const char* kMapRequestType = "map_request/1";
 inline constexpr const char* kMapResponseType = "map_response/1";
 inline constexpr const char* kStatsRequestType = "stats_request/1";
 inline constexpr const char* kStatsResponseType = "stats_response/1";
-
-/// Highest header revision this build speaks. Revision 2 adds the
-/// trace-context fields and per-stage response timings; revision 3
-/// adds mapper selection and portfolio race reporting.
-inline constexpr int kProtocolVersion = 3;
 
 struct Frame {
   obs::Json header;
@@ -128,19 +120,15 @@ struct MapRequest {
   bool optimize = false;          // run the full optimization script first
   bool verify = false;            // verify::check the result at kFormal
   std::int64_t deadline_ms = -1;  // budget from server receipt; < 0 = none
-  /// Backend to map with (proto >= 3): a core::mapper_names() name.
+  /// Backend to map with: a core::mapper_names() name.
   std::string mapper = "chortle";
-  /// Portfolio objective (proto >= 3): a portfolio::objective_names()
-  /// name. Ignored by the plain backends.
+  /// Portfolio objective: a portfolio::objective_names() name. Ignored
+  /// by the plain backends.
   std::string objective = "luts";
-  /// Portfolio race budget in ms (proto >= 3); < 0 = no budget beyond
-  /// deadline_ms. Ignored by the plain backends.
+  /// Portfolio race budget in ms; < 0 = no budget beyond deadline_ms.
+  /// Ignored by the plain backends.
   std::int64_t portfolio_budget_ms = -1;
-  /// Advertised header revision. Defaults to 1 so a hand-built request
-  /// stays byte-compatible with the v1 wire format; the bundled Client
-  /// always sends kProtocolVersion.
-  int proto = 1;
-  /// Optional trace context (proto >= 2); invalid() = none attached.
+  /// Optional trace context; invalid() = none attached.
   obs::RequestContext context;
   std::string blif;               // payload: BLIF model to map
 };
@@ -154,14 +142,17 @@ MapRequest parse_map_request(const Frame& frame);
 
 // --------------------------------------------------------- responses
 
-/// Server-side wall time of one request's stages, seconds. Returned to
-/// proto >= 2 clients so a caller can see where its own latency went
-/// without pulling the whole STATS snapshot.
+/// Server-side wall time of one request's stages, seconds. Returned
+/// with every request the server got far enough to parse, so a caller
+/// can see where its own latency went without pulling the whole STATS
+/// snapshot. All zero = not measured (absent on the wire).
 struct StageSeconds {
   double queue_wait = 0.0;  // complete request enqueued -> worker pickup
   double parse = 0.0;       // request header + BLIF parse + decompose
   double solve = 0.0;       // map_network (DP-cache lookups inside)
   double emit = 0.0;        // mapped-netlist serialization
+
+  bool operator==(const StageSeconds&) const = default;
 };
 
 struct MapResponse {
@@ -175,24 +166,19 @@ struct MapResponse {
   int cache_hits = 0;
   int cache_misses = 0;
   /// Trees that piggybacked on a concurrent identical solve
-  /// (single-flight coalescing; on the wire only for proto >= 2).
+  /// (single-flight coalescing; on the wire only when non-zero).
   int cache_coalesced = 0;
   double seconds = 0.0;
   std::string verified;  // "", "equivalent", "different", "inconclusive"
-  /// The backend that actually mapped (proto >= 3; empty on the wire
-  /// means "chortle", the only pre-revision-3 behaviour).
+  /// The backend that actually mapped (absent on the wire = "chortle").
   std::string mapper;
-  /// Portfolio race outcome (proto >= 3; on the wire only when the
-  /// portfolio backend ran — portfolio_winner non-empty).
+  /// Portfolio race outcome (on the wire only when the portfolio
+  /// backend ran — portfolio_winner non-empty).
   std::string portfolio_winner;
   int portfolio_cancelled = 0;
   int portfolio_stitched_trees = 0;
-  /// Header revision of the response (mirrors the request's; fields
-  /// below are only on the wire when proto >= 2).
-  int proto = 1;
   /// Echo of the request's trace context (or the server-generated one).
   obs::RequestContext context;
-  bool has_stages = false;
   StageSeconds stages;
   std::string blif;      // payload: mapped netlist iff status == "ok"
 

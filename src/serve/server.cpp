@@ -100,22 +100,29 @@ int listen_tcp(int port, int* resolved_port) {
   return fd;
 }
 
-/// Best-effort echo of the request's identity (id, protocol revision,
-/// trace context) into an error response built from a frame that
-/// failed validation — a proto-2 peer still gets its id and trace id
-/// back, so client-side correlation survives a rejected request. Field
-/// extraction is lenient: anything malformed is simply not echoed
-/// (a malformed trace id in particular is *replaced*, never smuggled
-/// through into trace files).
-void echo_request_identity(const obs::Json& header, MapResponse& response) {
-  if (const obs::Json* id = header.find("id"); id != nullptr && id->is_string())
-    response.id = id->as_string();
-  const obs::Json* proto = header.find("proto");
-  if (proto == nullptr || !proto->is_number() || proto->as_int() < 2) return;
-  // Negotiate down: a proto-2 peer must get a proto-2 response, never
-  // a revision it did not ask for.
-  response.proto = static_cast<int>(std::min<std::int64_t>(
-      proto->as_int(), kProtocolVersion));
+/// A response carrying only an error. The request's id and trace
+/// context ride along so client-side correlation survives the failure.
+MapResponse error_reply(std::string id, const obs::RequestContext& context,
+                        std::string status, std::string message) {
+  MapResponse response;
+  response.id = std::move(id);
+  response.context = context;
+  response.status = std::move(status);
+  response.error = std::move(message);
+  return response;
+}
+
+/// Error reply to a request frame that was never parsed (it failed
+/// validation, or was turned away busy): a best-effort echo of its id
+/// and trace context. Extraction is lenient — anything malformed is
+/// simply not echoed, and a malformed trace id in particular is
+/// *replaced*, never smuggled into trace files.
+MapResponse error_reply_to(const obs::Json& header, std::string status,
+                           std::string message) {
+  std::string id;
+  if (const obs::Json* field = header.find("id");
+      field != nullptr && field->is_string())
+    id = field->as_string();
   obs::RequestContext context;
   if (const obs::Json* field = header.find("trace_id");
       field != nullptr && field->is_string())
@@ -125,15 +132,16 @@ void echo_request_identity(const obs::Json& header, MapResponse& response) {
       field != nullptr && field->is_string())
     if (const auto value = obs::parse_hex_id(field->as_string()))
       context.span_id = *value;
-  response.context = context.valid() ? context
-                                     : obs::RequestContext::generate();
+  return error_reply(std::move(id),
+                     context.valid() ? context
+                                     : obs::RequestContext::generate(),
+                     std::move(status), std::move(message));
 }
 
 std::string encode_busy_frame() {
-  MapResponse response;
-  response.status = "busy";
-  response.error = "server busy; retry later";
-  return encode_frame(encode_response_header(response), "");
+  return encode_frame(encode_response_header(error_reply(
+                          "", {}, "busy", "server busy; retry later")),
+                      "");
 }
 
 }  // namespace
@@ -292,12 +300,11 @@ void EventLoop::pump(Conn& conn) {
         ++server_.counters_.rejected_busy;
       }
       OBS_COUNT("serve.rejected_busy", 1);
-      MapResponse busy;
-      busy.status = "busy";
-      busy.error = "admission queue full; retry later";
-      echo_request_identity(frame->header, busy);
-      append_response(conn,
-                      encode_frame(encode_response_header(busy), ""));
+      append_response(
+          conn, encode_frame(encode_response_header(error_reply_to(
+                                 frame->header, "busy",
+                                 "admission queue full; retry later")),
+                             ""));
       conn.close_after_flush = true;
       return;
     }
@@ -555,7 +562,7 @@ void EventLoop::run() {
 Server::Server(ServerConfig config)
     : config_(std::move(config)),
       cache_(config_.cache_bytes),
-      report_("chortle_serve"),
+      report_("chortle_serve", kReportRows),
       latency_histogram_(obs::Registry::global().histogram(
           "serve.request.seconds", obs::Registry::latency_bounds())),
       stage_queue_wait_(
@@ -693,13 +700,10 @@ void Server::worker_loop() {
     } catch (const std::exception& error) {
       // Response larger than the protocol allows: degrade to an
       // internal error the peer can still decode.
-      MapResponse failure;
-      failure.id = response.id;
-      failure.proto = response.proto;
-      failure.context = response.context;
-      failure.status = "internal";
-      failure.error = error.what();
-      done.bytes = encode_frame(encode_response_header(failure), "");
+      done.bytes = encode_frame(
+          encode_response_header(error_reply(response.id, response.context,
+                                             "internal", error.what())),
+          "");
     }
     in_flight_requests_.fetch_sub(1, std::memory_order_relaxed);
     OBS_GAUGE_SET("serve.in_flight_requests",
@@ -722,12 +726,7 @@ MapResponse Server::process_request(const Frame& frame,
   try {
     request = parse_map_request(frame);
   } catch (const std::exception& error) {
-    // Mirror the other error paths: a proto-2 peer gets its id, proto,
-    // and trace context echoed even when the request fails validation,
-    // so client-side correlation keeps working.
-    echo_request_identity(frame.header, response);
-    response.status = "invalid";
-    response.error = error.what();
+    response = error_reply_to(frame.header, "invalid", error.what());
     response.seconds = timer.seconds();
     record_request(response);
     return response;
@@ -739,12 +738,11 @@ MapResponse Server::process_request(const Frame& frame,
           : request.id;
   response.id = assigned_id;
   // Adopt the client's trace context or mint one, so server-side spans
-  // always correlate even for clients that sent none. Echoed to
-  // revision-2 peers; invisible to v1 peers.
+  // always correlate even for clients that sent none; either way it is
+  // echoed in the response.
   const obs::RequestContext context = request.context.valid()
                                           ? request.context
                                           : obs::RequestContext::generate();
-  response.proto = std::min(request.proto, kProtocolVersion);
   response.context = context;
   StageSeconds stages;
   stages.parse = header_timer.seconds();
@@ -797,8 +795,8 @@ MapResponse Server::process_request(const Frame& frame,
       WallTimer stage_timer;
       const auto solve = [&]() -> core::MapResult {
         if (request.mapper == "chortle") {
-          // The historical path, DP cache included — byte-identical to
-          // every pre-revision-3 response.
+          // The default path, and the only one through the shared DP
+          // cache.
           return core::map_network(network, options, &cache_);
         }
         if (request.mapper == "portfolio") {
@@ -860,35 +858,16 @@ MapResponse Server::process_request(const Frame& frame,
       }
     }
   } catch (const base::Cancelled& error) {
-    const int proto = response.proto;
-    response = MapResponse{};
-    response.id = assigned_id;
-    response.proto = proto;
-    response.context = context;
-    response.status = "deadline";
-    response.error = error.what();
+    response = error_reply(assigned_id, context, "deadline", error.what());
   } catch (const InvalidInput& error) {
-    const int proto = response.proto;
-    response = MapResponse{};
-    response.id = assigned_id;
-    response.proto = proto;
-    response.context = context;
-    response.status = "invalid";
-    response.error = error.what();
+    response = error_reply(assigned_id, context, "invalid", error.what());
   } catch (const std::exception& error) {
-    const int proto = response.proto;
-    response = MapResponse{};
-    response.id = assigned_id;
-    response.proto = proto;
-    response.context = context;
-    response.status = "internal";
-    response.error = error.what();
+    response = error_reply(assigned_id, context, "internal", error.what());
   }
   obs::Registry& registry = obs::Registry::global();
   registry.observe(stage_parse_, stages.parse);
   if (stages.solve > 0.0) registry.observe(stage_solve_, stages.solve);
   if (stages.emit > 0.0) registry.observe(stage_emit_, stages.emit);
-  response.has_stages = true;
   response.stages = stages;
   response.seconds = timer.seconds();
   record_request(response);

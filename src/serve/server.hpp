@@ -104,7 +104,7 @@ class Server {
     std::uint64_t internal_errors = 0;
     std::uint64_t stats_requests = 0;  // STATS frames answered
     std::uint64_t idle_closed = 0;     // connections reaped by timeout
-    // Portfolio-backend requests (proto >= 3, --mapper=portfolio).
+    // Portfolio-backend requests (--mapper=portfolio).
     std::uint64_t portfolio_requests = 0;
     std::uint64_t portfolio_won = 0;        // a racer beat the fallback
     std::uint64_t portfolio_cancelled = 0;  // racer tasks cut at close
@@ -151,9 +151,15 @@ class Server {
   /// this Server instance: deltas since start(), not process totals.
   obs::Json stats_json() const;
 
-  /// chortle-run-report/1 with one "benchmarks" row per served request;
-  /// false (with a WARN log) when the file cannot be written.
+  /// chortle-run-report/1 with one "benchmarks" row for each of the
+  /// last kReportRows served requests (counters, histograms and phases
+  /// cover every request); false (with a WARN log) when the file cannot
+  /// be written.
   bool write_report(const std::string& path);
+
+  /// Per-request report rows kept: a long-lived server's report stays
+  /// bounded instead of growing with its lifetime.
+  static constexpr std::size_t kReportRows = 256;
 
  private:
   friend class EventLoop;

@@ -280,12 +280,11 @@ TEST(RequestParse, RejectsMalformedTraceIds) {
   };
   // A well-formed context round-trips.
   const MapRequest good = parse_map_request(request_frame(
-      "{\"type\":\"map_request/1\",\"proto\":2,"
+      "{\"type\":\"map_request/1\","
       "\"trace_id\":\"0123456789abcdef\",\"span_id\":\"00000000000000ff\"}"));
-  EXPECT_EQ(good.proto, 2);
   EXPECT_EQ(good.context.trace_id, 0x0123456789abcdefull);
   EXPECT_EQ(good.context.span_id, 0xffull);
-  // Absent context is fine (v1 peers) and parses to "none".
+  // Absent context is fine and parses to "none".
   EXPECT_FALSE(parse_map_request(request_frame("{\"type\":\"map_request/1\"}"))
                    .context.valid());
   // Present-but-malformed is a hard error: a peer must not be able to
@@ -296,9 +295,7 @@ TEST(RequestParse, RejectsMalformedTraceIds) {
         "{\"type\":\"map_request/1\",\"trace_id\":\"0123\"}",
         "{\"type\":\"map_request/1\",\"trace_id\":\"0123456789abcdef0\"}",
         "{\"type\":\"map_request/1\",\"trace_id\":42}",
-        "{\"type\":\"map_request/1\",\"span_id\":\" 123456789abcdef\"}",
-        "{\"type\":\"map_request/1\",\"proto\":0}",
-        "{\"type\":\"map_request/1\",\"proto\":\"two\"}"}) {
+        "{\"type\":\"map_request/1\",\"span_id\":\" 123456789abcdef\"}"}) {
     EXPECT_THROW(parse_map_request(request_frame(bad)), InvalidInput) << bad;
   }
 }
@@ -310,10 +307,9 @@ TEST(ResponseParse, RejectsMalformedStageTimings) {
     return frame;
   };
   const MapResponse good = parse_map_response(response_frame(
-      "{\"type\":\"map_response/1\",\"status\":\"ok\",\"proto\":2,"
+      "{\"type\":\"map_response/1\",\"status\":\"ok\","
       "\"stages\":{\"queue_wait\":0.0,\"parse\":0.001,\"solve\":0.01,"
       "\"emit\":0.002}}"));
-  ASSERT_TRUE(good.has_stages);
   EXPECT_DOUBLE_EQ(good.stages.solve, 0.01);
   for (const char* bad :
        {"{\"type\":\"map_response/1\",\"status\":\"ok\",\"stages\":7}",

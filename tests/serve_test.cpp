@@ -13,6 +13,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -56,8 +57,8 @@ std::string offline_mapping(const std::string& blif_text, int k) {
   return blif::write_blif_string(result.circuit, model.name + "_luts");
 }
 
-/// Raw client socket speaking frames directly — stands in for an old
-/// (pre-revision-2) client build or a hostile peer.
+/// Raw client socket speaking frames directly — stands in for a
+/// hand-built or hostile peer.
 int raw_connect(const std::string& path) {
   const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
@@ -397,40 +398,121 @@ TEST(Serve, RunReportRecordsOneRowPerRequest) {
   ::unlink(path.c_str());
 }
 
-// ---------------------------------------------------------------------
-// Protocol revision 2: trace context + per-stage timings, negotiated so
-// v1 peers keep seeing the exact v1 wire shape.
-
-TEST(ServeProtocol, V1RequestGetsByteCompatibleV1Response) {
+TEST(Serve, RunReportKeepsOnlyTheMostRecentRows) {
   ServerConfig config;
-  config.unix_path = test_socket_path("v1peer");
+  config.unix_path = test_socket_path("reportcap");
   config.workers = 1;
   Server server(config);
   server.start();
 
-  // Hand-build a v1 header: no "proto", no trace fields — exactly what
-  // a pre-revision-2 client puts on the wire.
-  obs::Json header = obs::Json::object();
-  header.set("type", kMapRequestType);
-  header.set("k", 3);
-  const int fd = raw_connect(config.unix_path);
-  write_frame(fd, header, benchmark_blif("count"));
-  const std::optional<Frame> reply = read_frame(fd);
-  ::close(fd);
-  ASSERT_TRUE(reply.has_value());
-
-  // The response header must not contain any revision-2 field: an old
-  // client sees bytes indistinguishable from an old server's.
-  for (const char* field : {"proto", "trace_id", "span_id", "stages"})
-    EXPECT_EQ(reply->header.find(field), nullptr)
-        << "v1 response leaked revision-2 field '" << field << "'";
-  const MapResponse response = parse_map_response(*reply);
-  EXPECT_TRUE(response.ok()) << response.error;
-  EXPECT_EQ(response.proto, 1);
-  EXPECT_FALSE(response.has_stages);
-  EXPECT_FALSE(response.context.valid());
+  MapRequest request;
+  request.blif = ".model tiny\n.inputs a b\n.outputs y\n.names a b y\n"
+                 "11 1\n.end\n";
+  Client client = Client::connect_unix(config.unix_path);
+  const std::size_t total = Server::kReportRows + 8;
+  for (std::size_t i = 0; i < total; ++i) {
+    request.id = "row" + std::to_string(i);
+    ASSERT_TRUE(client.map(request).ok());
+  }
   server.shutdown();
+
+  const std::string path =
+      "/tmp/chortle_test_reportcap_" + std::to_string(::getpid()) + ".json";
+  ASSERT_TRUE(server.write_report(path));
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  const obs::Json report = obs::Json::parse(buffer.str());
+  ::unlink(path.c_str());
+
+  // The rows are the newest kReportRows, oldest first ...
+  const obs::Json::Array& rows = report.find("benchmarks")->as_array();
+  ASSERT_EQ(rows.size(), Server::kReportRows);
+  EXPECT_EQ(rows.front().find("id")->as_string(), "row8");
+  EXPECT_EQ(rows.back().find("id")->as_string(),
+            "row" + std::to_string(total - 1));
+  // ... while the aggregates still count every request.
+  EXPECT_EQ(server.counters().served, total);
+  EXPECT_EQ(report.find("requests")->find("served")->as_int(),
+            static_cast<std::int64_t>(total));
+  EXPECT_EQ(report.find("hdr")
+                ->find("serve.stage.request")
+                ->find("count")
+                ->as_int(),
+            static_cast<std::int64_t>(total));
 }
+
+TEST(Serve, StampedeSolvesEachContestedTreeOnce) {
+  // A cold server and eight barrier-synced clients mapping one Table-2
+  // circuit: with four workers solving the same tree sequence at once,
+  // a lookup of a tree another worker is still solving must wait for
+  // that solve (coalesce) instead of running the DP again. Timing
+  // decides how many lookups coalesce rather than hit; the totals
+  // asserted below hold either way, and fail as soon as one contested
+  // tree is solved twice.
+  constexpr int kClients = 8;
+  MapRequest request;
+  request.k = 4;
+  // Wide nodes left unsplit make des's costliest trees slow to solve,
+  // so the four concurrent requests reliably meet on one in flight.
+  request.split_threshold = 14;
+  request.blif = benchmark_blif("des");
+
+  ServerConfig config;
+  config.workers = 4;
+  config.unix_path = test_socket_path("stampsolo");
+  MapResponse solo;
+  core::DpCache::Stats solo_cache;
+  {
+    Server server(config);
+    server.start();
+    solo = Client::connect_unix(config.unix_path).map(request);
+    solo_cache = server.cache_stats();
+    server.shutdown();
+  }
+  ASSERT_TRUE(solo.ok()) << solo.error;
+  ASSERT_GT(solo_cache.misses, 0u);
+  EXPECT_EQ(solo_cache.coalesced, 0u);
+  const std::uint64_t solo_lookups = solo_cache.hits + solo_cache.misses;
+
+  config.unix_path = test_socket_path("stampede");
+  Server server(config);
+  server.start();
+  std::vector<Client> clients;
+  for (int c = 0; c < kClients; ++c)
+    clients.push_back(Client::connect_unix(config.unix_path));
+  std::vector<MapResponse> responses(kClients);
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kClients) std::this_thread::yield();
+      responses[static_cast<std::size_t>(c)] =
+          clients[static_cast<std::size_t>(c)].map(request);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  const core::DpCache::Stats cache = server.cache_stats();
+  server.shutdown();
+
+  for (const MapResponse& response : responses) {
+    ASSERT_TRUE(response.ok()) << response.error;
+    EXPECT_EQ(response.blif, solo.blif);
+    EXPECT_EQ(response.luts, solo.luts);
+    EXPECT_EQ(response.depth, solo.depth);
+  }
+  // Every distinct tree was solved exactly once across all eight
+  // requests: the lookups that did not hit a resident entry waited for
+  // the one in flight.
+  EXPECT_EQ(cache.misses, solo_cache.misses);
+  EXPECT_EQ(cache.insertions, solo_cache.misses);
+  EXPECT_EQ(cache.hits + cache.coalesced + cache.misses,
+            kClients * solo_lookups);
+}
+
+// ---------------------------------------------------------------------
+// Trace context + per-stage timings on every response.
 
 TEST(ServeProtocol, NewClientGetsEchoedContextAndStages) {
   ServerConfig config;
@@ -446,10 +528,8 @@ TEST(ServeProtocol, NewClientGetsEchoedContextAndStages) {
   Client client = Client::connect_unix(config.unix_path);
   const MapResponse response = client.map(request);
   ASSERT_TRUE(response.ok()) << response.error;
-  EXPECT_EQ(response.proto, kProtocolVersion);
   // Caller-supplied trace id is echoed, not replaced.
   EXPECT_EQ(response.context.trace_id, request.context.trace_id);
-  ASSERT_TRUE(response.has_stages);
   EXPECT_GT(response.stages.parse, 0.0);
   EXPECT_GT(response.stages.solve, 0.0);
   EXPECT_GT(response.stages.emit, 0.0);
@@ -462,41 +542,25 @@ TEST(ServeProtocol, NewClientGetsEchoedContextAndStages) {
   const MapResponse minted = client.map(bare);
   ASSERT_TRUE(minted.ok()) << minted.error;
   EXPECT_TRUE(minted.context.valid());
-  server.shutdown();
-}
 
-// ---------------------------------------------------------------------
-// Protocol revision 3: mapper selection + portfolio racing, negotiated
-// so revision-2 peers keep seeing the exact revision-2 wire shape.
-
-TEST(ServeProtocol, V2RequestGetsByteCompatibleV2Response) {
-  ServerConfig config;
-  config.unix_path = test_socket_path("v2peer");
-  config.workers = 1;
-  Server server(config);
-  server.start();
-
-  // Hand-build a revision-2 header: "proto":2 but none of the
-  // revision-3 fields — exactly what a pre-revision-3 client sends.
+  // A peer still sending the retired "proto" key, and none of the
+  // optional ones, is served the same way: stages and a minted trace id.
   obs::Json header = obs::Json::object();
   header.set("type", kMapRequestType);
   header.set("proto", 2);
   header.set("k", 3);
   const int fd = raw_connect(config.unix_path);
-  write_frame(fd, header, benchmark_blif("count"));
+  write_frame(fd, header, request.blif);
   const std::optional<Frame> reply = read_frame(fd);
   ::close(fd);
   ASSERT_TRUE(reply.has_value());
-
-  // No revision-3 field may leak into the reply: an old client sees
-  // bytes indistinguishable from an old server's.
-  for (const char* field : {"mapper", "portfolio"})
-    EXPECT_EQ(reply->header.find(field), nullptr)
-        << "v2 response leaked revision-3 field '" << field << "'";
-  const MapResponse response = parse_map_response(*reply);
-  EXPECT_TRUE(response.ok()) << response.error;
-  EXPECT_EQ(response.proto, 2);
-  EXPECT_TRUE(response.has_stages);  // revision-2 fields still present
+  EXPECT_EQ(reply->header.find("proto"), nullptr);
+  ASSERT_NE(reply->header.find("stages"), nullptr);
+  const MapResponse old_peer = parse_map_response(*reply);
+  ASSERT_TRUE(old_peer.ok()) << old_peer.error;
+  EXPECT_GT(old_peer.stages.parse, 0.0);
+  EXPECT_GT(old_peer.stages.solve, 0.0);
+  EXPECT_TRUE(old_peer.context.valid());
   server.shutdown();
 }
 
@@ -602,7 +666,6 @@ TEST(ServeProtocol, MalformedTraceIdIsRejectedNotSmuggled) {
                           "0123456789abcdef00"}) {
     obs::Json header = obs::Json::object();
     header.set("type", kMapRequestType);
-    header.set("proto", 2);
     header.set("trace_id", bad);
     const int fd = raw_connect(config.unix_path);
     write_frame(fd, header, benchmark_blif("count"));
@@ -911,50 +974,37 @@ TEST(ServeBugfix, ListenUnixRefusesToUnlinkARegularFile) {
   ::unlink(path.c_str());
 }
 
-TEST(ServeBugfix, InvalidRequestStillEchoesIdProtoAndTraceContext) {
+TEST(ServeBugfix, InvalidRequestStillEchoesIdAndTraceContext) {
   ServerConfig config;
   config.unix_path = test_socket_path("echoinv");
   config.workers = 1;
   Server server(config);
   server.start();
 
-  // k = 9 fails request validation; a revision-2 peer must still get
-  // its id and trace id back so client-side correlation works.
-  obs::Json header = obs::Json::object();
-  header.set("type", kMapRequestType);
-  header.set("id", "correlate-me");
-  header.set("proto", 2);
-  header.set("trace_id", "00112233445566aa");
-  header.set("span_id", "aabbccddeeff0011");
-  header.set("k", 9);
-  const int fd = raw_connect(config.unix_path);
-  write_frame(fd, header, benchmark_blif("count"));
-  const std::optional<Frame> reply = read_frame(fd);
-  ::close(fd);
-  ASSERT_TRUE(reply.has_value());
-  const MapResponse response = parse_map_response(*reply);
-  EXPECT_EQ(response.status, "invalid");
-  EXPECT_EQ(response.id, "correlate-me");
-  // Negotiated down to the peer's revision, not the server's maximum.
-  EXPECT_EQ(response.proto, 2);
-  EXPECT_EQ(response.context.trace_id, 0x00112233445566aaull);
-
-  // A v1 peer's invalid request stays v1-shaped: id echoed, no
-  // revision-2 fields.
-  obs::Json v1_header = obs::Json::object();
-  v1_header.set("type", kMapRequestType);
-  v1_header.set("id", "v1-invalid");
-  v1_header.set("k", 9);
-  const int v1_fd = raw_connect(config.unix_path);
-  write_frame(v1_fd, v1_header, benchmark_blif("count"));
-  const std::optional<Frame> v1_reply = read_frame(v1_fd);
-  ::close(v1_fd);
-  ASSERT_TRUE(v1_reply.has_value());
-  EXPECT_EQ(v1_reply->header.find("proto"), nullptr);
-  EXPECT_EQ(v1_reply->header.find("trace_id"), nullptr);
-  const MapResponse v1_response = parse_map_response(*v1_reply);
-  EXPECT_EQ(v1_response.status, "invalid");
-  EXPECT_EQ(v1_response.id, "v1-invalid");
+  // k = 9 fails request validation; the peer must still get its id and
+  // trace id back so client-side correlation works. One header carries
+  // the retired "proto" key, the other does not: both are echoed.
+  for (const bool with_proto : {true, false}) {
+    obs::Json header = obs::Json::object();
+    header.set("type", kMapRequestType);
+    header.set("id", "correlate-me");
+    if (with_proto) header.set("proto", 2);
+    header.set("trace_id", "00112233445566aa");
+    header.set("span_id", "aabbccddeeff0011");
+    header.set("k", 9);
+    const int fd = raw_connect(config.unix_path);
+    write_frame(fd, header, benchmark_blif("count"));
+    const std::optional<Frame> reply = read_frame(fd);
+    ::close(fd);
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->header.find("proto"), nullptr);
+    EXPECT_EQ(reply->header.find("stages"), nullptr);
+    const MapResponse response = parse_map_response(*reply);
+    EXPECT_EQ(response.status, "invalid");
+    EXPECT_EQ(response.id, "correlate-me");
+    EXPECT_EQ(response.context.trace_id, 0x00112233445566aaull);
+    EXPECT_EQ(response.context.span_id, 0xaabbccddeeff0011ull);
+  }
   server.shutdown();
   EXPECT_EQ(server.counters().invalid_requests, 2u);
 }

@@ -193,13 +193,12 @@ int main(int argc, char** argv) {
                    response.portfolio_winner.c_str(),
                    response.portfolio_cancelled,
                    response.portfolio_stitched_trees);
-    if (response.has_stages)
-      std::fprintf(stderr,
-                   "chortle_client: trace=%s stages: queue_wait=%.6f "
-                   "parse=%.6f solve=%.6f emit=%.6f\n",
-                   response.context.trace_hex().c_str(),
-                   response.stages.queue_wait, response.stages.parse,
-                   response.stages.solve, response.stages.emit);
+    std::fprintf(stderr,
+                 "chortle_client: trace=%s stages: queue_wait=%.6f "
+                 "parse=%.6f solve=%.6f emit=%.6f\n",
+                 response.context.trace_hex().c_str(),
+                 response.stages.queue_wait, response.stages.parse,
+                 response.stages.solve, response.stages.emit);
     return finish(write_output(output_path, response.blif) ? 0 : 1,
                   trace_out);
   } catch (const std::exception& error) {
