@@ -7,6 +7,7 @@
 
 #include "bdd/equiv.hpp"
 #include "blif/blif.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulate.hpp"
 
 namespace chortle::verify {
@@ -39,6 +40,7 @@ bool simulate(const sim::Design& source, const sim::Design& result,
 template <typename Source, typename Result>
 Verdict check_impl(const Source& source, const Result& result, Level level,
                    std::optional<std::size_t> bdd_max_nodes = std::nullopt) {
+  OBS_SPAN("verify.check");
   Verdict verdict;
   // What an exception means depends on how far the check got: before
   // the round trip it is a broken cover, during it a BLIF that does not
@@ -46,6 +48,8 @@ Verdict check_impl(const Source& source, const Result& result, Level level,
   Kind on_exception = Kind::kStructure;
   try {
     result.check();
+    // Compiling the source throws on a combinational cycle: a broken
+    // source is reported like a broken cover.
     const sim::Design source_design = sim::design_of(source);
     if (!simulate(source_design, sim::design_of(result), Kind::kSimMismatch,
                   verdict) ||
