@@ -21,7 +21,26 @@ DpCache::Shard& DpCache::shard_of(const std::string& key) {
   return *shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
 
-std::shared_ptr<const TreeMapper> DpCache::find(const std::string& key) {
+std::size_t DpCache::entry_bytes(const std::string& key,
+                                 const TreeCover& cover) {
+  // One allocator header per heap block of an entry: the list node, the
+  // index node, the key buffer, the control block make_shared puts the
+  // cover in, and the cover's two arrays.
+  constexpr std::size_t kHeapBlocks = 6;
+  constexpr std::size_t kAllocatorHeader = 16;
+  constexpr std::size_t kOverhead =
+      sizeof(Entry) + 2 * sizeof(void*) +  // list node: entry + links
+      sizeof(std::string_view) + sizeof(std::list<Entry>::iterator) +
+      sizeof(void*) + sizeof(std::size_t) +  // index node: + link, hash
+      sizeof(void*) +                        // its bucket slot
+      2 * sizeof(void*) +  // control block: vtable, use and weak counts
+      kHeapBlocks * kAllocatorHeader;
+  // Keys outgrow the small-string buffer, so the entry's copy of the
+  // key has a heap buffer of size + 1 bytes.
+  return kOverhead + key.size() + 1 + cover.memory_bytes();
+}
+
+std::shared_ptr<const TreeCover> DpCache::find(const std::string& key) {
   Shard& shard = shard_of(key);
   const std::lock_guard<std::mutex> lock(shard.mu);
   const auto it = shard.index.find(key);
@@ -33,15 +52,15 @@ std::shared_ptr<const TreeMapper> DpCache::find(const std::string& key) {
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   ++shard.hits;
   OBS_COUNT("chortle.dp_cache.hits", 1);
-  return it->second->mapper;
+  return it->second->cover;
 }
 
-std::shared_ptr<const TreeMapper> DpCache::insert(
-    const std::string& key, std::shared_ptr<const TreeMapper> mapper) {
-  CHORTLE_CHECK(mapper != nullptr);
+std::shared_ptr<const TreeCover> DpCache::insert(
+    const std::string& key, std::shared_ptr<const TreeCover> cover) {
+  CHORTLE_CHECK(cover != nullptr);
   Shard& shard = shard_of(key);
   std::uint64_t evicted = 0;
-  std::shared_ptr<const TreeMapper> resident;
+  std::shared_ptr<const TreeCover> resident;
   {
     const std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.index.find(key);
@@ -50,15 +69,15 @@ std::shared_ptr<const TreeMapper> DpCache::insert(
       // resident entry is interchangeable with ours; keep it (it may
       // already be shared) and drop the newcomer.
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      return it->second->mapper;
+      return it->second->cover;
     }
-    Entry entry{key, std::move(mapper), 0};
-    entry.bytes = entry.mapper->memory_bytes() + key.size();
-    shard.lru.push_front(std::move(entry));
-    shard.index.emplace(key, shard.lru.begin());
-    shard.bytes += shard.lru.front().bytes;
+    shard.lru.push_front(Entry{key, std::move(cover), 0});
+    Entry& entry = shard.lru.front();
+    entry.bytes = entry_bytes(entry.key, *entry.cover);
+    shard.index.emplace(entry.key, shard.lru.begin());
+    shard.bytes += entry.bytes;
     ++shard.insertions;
-    resident = shard.lru.front().mapper;
+    resident = entry.cover;
     // Evict from the cold end, but never the entry just inserted.
     while (shard.bytes > max_bytes_per_shard_ && shard.lru.size() > 1) {
       const Entry& victim = shard.lru.back();
@@ -74,9 +93,9 @@ std::shared_ptr<const TreeMapper> DpCache::insert(
   return resident;
 }
 
-std::shared_ptr<const TreeMapper> DpCache::find_or_solve(
+std::shared_ptr<const TreeCover> DpCache::find_or_solve(
     const std::string& key,
-    const std::function<std::shared_ptr<const TreeMapper>()>& solve,
+    const std::function<std::shared_ptr<const TreeCover>()>& solve,
     const base::CancelToken* cancel, Outcome* outcome) {
   Shard& shard = shard_of(key);
   while (true) {
@@ -90,7 +109,7 @@ std::shared_ptr<const TreeMapper> DpCache::find_or_solve(
         ++shard.hits;
         OBS_COUNT("chortle.dp_cache.hits", 1);
         if (outcome != nullptr) *outcome = Outcome::kHit;
-        return it->second->mapper;
+        return it->second->cover;
       }
       const auto in_flight = shard.in_flight.find(key);
       if (in_flight == shard.in_flight.end()) {
@@ -106,7 +125,7 @@ std::shared_ptr<const TreeMapper> DpCache::find_or_solve(
       }
     }
     if (leader) {
-      std::shared_ptr<const TreeMapper> resident;
+      std::shared_ptr<const TreeCover> resident;
       try {
         resident = insert(key, solve());
       } catch (...) {
@@ -177,8 +196,8 @@ DpCache::Stats DpCache::stats() const {
 void DpCache::clear() {
   for (const auto& shard : shards_) {
     const std::lock_guard<std::mutex> lock(shard->mu);
+    shard->index.clear();  // before the entries its keys view
     shard->lru.clear();
-    shard->index.clear();
     shard->bytes = 0;
   }
 }

@@ -69,15 +69,17 @@ MapResult map_network(const net::Network& network, const Options& options,
   // other tree's, so the WorkTree builds and TreeMapper constructions
   // fan out across the pool. Trees are dispatched largest-first so a
   // giant tree starts immediately instead of serializing the tail of
-  // the schedule. Results land in per-tree slots; nothing here touches
-  // the circuit, signal ids, or any other shared mutable state.
+  // the schedule. Each mapper is reduced to its TreeCover and freed at
+  // once, so only covers wait for phase 2. Results land in per-tree
+  // slots; nothing here touches the circuit, signal ids, or any other
+  // shared mutable state.
   // With a DP cache each tree is first canonicalized and looked up by
-  // structural signature; only misses run the DP, and fresh solutions
-  // are published for later requests. Per-tree results land in
-  // disjoint slots, so the phase stays data-race free.
+  // structural signature; only misses run the DP, and fresh covers are
+  // published for later requests. Per-tree results land in disjoint
+  // slots, so the phase stays data-race free.
   const std::size_t num_trees = forest.trees.size();
   struct SolvedTree {
-    std::shared_ptr<const TreeMapper> mapper;
+    std::shared_ptr<const TreeCover> cover;
     std::vector<net::NodeId> leaf_ids;  // cache path: canonical leaf -> node
     DpCache::Outcome outcome = DpCache::Outcome::kSolved;
   };
@@ -99,8 +101,8 @@ MapResult map_network(const net::Network& network, const Options& options,
       WorkTree work = build_work_tree(network, forest, forest.trees[t],
                                       options);
       if (cache == nullptr) {
-        solved[t].mapper =
-            std::make_shared<const TreeMapper>(std::move(work), options);
+        solved[t].cover = std::make_shared<const TreeCover>(
+            TreeMapper(std::move(work), options).reduce());
         return;
       }
       // Lookup-outcome latency split (cached path only, so the uncached
@@ -112,11 +114,11 @@ MapResult map_network(const net::Network& network, const Options& options,
       WallTimer lookup_timer;
       CanonicalTree canon = canonicalize_tree(work, options);
       solved[t].leaf_ids = std::move(canon.leaf_ids);
-      solved[t].mapper = cache->find_or_solve(
+      solved[t].cover = cache->find_or_solve(
           canon.key,
           [&] {
-            return std::make_shared<const TreeMapper>(std::move(canon.tree),
-                                                      options);
+            return std::make_shared<const TreeCover>(
+                TreeMapper(std::move(canon.tree), options).reduce());
           },
           options.cancel, &solved[t].outcome);
       switch (solved[t].outcome) {
@@ -148,37 +150,33 @@ MapResult map_network(const net::Network& network, const Options& options,
   // earlier trees' root signals through signal_of, and LUT/Signal ids
   // must come out byte-identical to the single-threaded mapping, so the
   // commit order is fixed regardless of the solve schedule.
-  int predicted_luts = 0;
   for (std::size_t t = 0; t < num_trees; ++t) {
     const Tree& tree = forest.trees[t];
-    const TreeMapper& mapper = *solved[t].mapper;
-    predicted_luts += mapper.best_cost();
+    const TreeCover& cover = *solved[t].cover;
     const std::size_t root = static_cast<std::size_t>(tree.root);
     const bool fold_inversion =
         readers[root] == 1 && negated_output_readers[root] == 1;
     if (cache == nullptr) {
-      signal_of[root] = mapper.emit(circuit, signal_of, fold_inversion,
-                                    network.node(tree.root).name);
+      signal_of[root] = cover.emit(circuit, signal_of, fold_inversion,
+                                   network.node(tree.root).name);
     } else {
-      // Cached mappers index leaves canonically; translate to this
+      // Cached covers index leaves canonically; translate to this
       // network's signals (canonical order is first-occurrence order,
       // so the emitted pin order matches the uncached mapping exactly).
       const std::vector<net::NodeId>& leaf_ids = solved[t].leaf_ids;
       std::vector<net::SignalId> leaf_signals(leaf_ids.size());
       for (std::size_t i = 0; i < leaf_ids.size(); ++i)
         leaf_signals[i] = signal_of[static_cast<std::size_t>(leaf_ids[i])];
-      signal_of[root] = mapper.emit(circuit, leaf_signals, fold_inversion,
-                                    network.node(tree.root).name);
+      signal_of[root] = cover.emit(circuit, leaf_signals, fold_inversion,
+                                   network.node(tree.root).name);
     }
     emitted_complemented[root] = fold_inversion;
     result.stats.largest_tree = std::max(
         result.stats.largest_tree, static_cast<int>(tree.gates.size()));
-    // Drop this call's reference as soon as the tables are spent (a
-    // cached mapper stays alive in the cache, an uncached one dies).
-    solved[t].mapper.reset();
+    // Drop this call's reference once emitted (a cached cover stays
+    // alive in the cache, an uncached one dies).
+    solved[t].cover.reset();
   }
-  CHORTLE_CHECK_MSG(circuit.num_luts() == predicted_luts,
-                    "emitted LUT count disagrees with the DP cost");
 
   for (const net::Output& o : network.outputs()) {
     if (o.is_const) {

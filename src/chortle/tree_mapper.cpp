@@ -71,9 +71,8 @@ TreeMapper::TreeMapper(WorkTree tree, const Options& options)
     }
   }
   for (std::size_t i = order.size(); i-- > 0;) solve_node(order[i]);
-  // A fully constructed mapper is immutable and may be cached across
-  // requests; the token only governs this construction, so drop it
-  // before it can dangle.
+  // The token only governs this construction; drop it before it can
+  // dangle (a mapper may outlive the request that built it).
   options_.cancel = nullptr;
   OBS_COUNT("chortle.trees_mapped", 1);
   OBS_COUNT("chortle.tree.nodes", tree_.size());
@@ -318,32 +317,23 @@ int TreeMapper::best_cost_of(int node) const {
 
 int TreeMapper::best_cost() const { return best_cost_of(tree_.root); }
 
-std::size_t TreeMapper::memory_bytes() const {
-  std::size_t bytes = sizeof(TreeMapper);
-  bytes += (h_words_ + cost_words_) * sizeof(std::int32_t);
-  bytes += h_words_ * sizeof(Choice);
-  bytes += cost_words_ * sizeof(std::uint8_t);
-  bytes += tables_.capacity() * sizeof(NodeTables);
-  for (const WorkNode& n : tree_.nodes)
-    bytes += sizeof(WorkNode) + n.children.capacity() * sizeof(WorkChild);
-  return bytes;
-}
-
-net::SignalId TreeMapper::emit(net::LutCircuit& circuit,
-                               const std::vector<net::SignalId>& signal_of,
-                               bool complement_root,
-                               const std::string& root_name) const {
-  EmitContext ctx{circuit, signal_of};
+TreeCover TreeMapper::reduce() const {
   const NodeTables& t = tables_[static_cast<std::size_t>(tree_.root)];
   const std::uint32_t full = (std::uint32_t{1} << t.fanin) - 1;
-  CHORTLE_CHECK_MSG(cost_of(t)[full] < kInfCost, "tree has no mapping");
-  const net::SignalId out = emit_node_lut(
-      ctx, tree_.root, cost_u_of(t)[full], complement_root, root_name);
-  OBS_COUNT("chortle.emit.kernel_ops", ctx.kernel_ops);
-  return out;
+  const std::int32_t cost = cost_of(t)[full];
+  CHORTLE_CHECK_MSG(cost < kInfCost, "tree has no mapping");
+  CoverBuilder cover;
+  cover.luts.reserve(static_cast<std::size_t>(cost));
+  add_node_lut(cover, tree_.root, cost_u_of(t)[full]);
+  CHORTLE_CHECK_MSG(static_cast<std::int32_t>(cover.luts.size()) == cost,
+                    "reconstructed LUT count disagrees with the DP cost");
+  OBS_COUNT("chortle.emit.kernel_ops", cover.kernel_ops);
+  return TreeCover(std::move(cover.luts),
+                   std::vector<TreeCover::Pin>(cover.pins.begin(),
+                                               cover.pins.end()));
 }
 
-void TreeMapper::walk_cone(EmitContext& ctx, int node, std::uint32_t mask,
+void TreeMapper::walk_cone(CoverBuilder& cover, int node, std::uint32_t mask,
                            int u, ConeProgram& prog) const {
   const WorkNode& wn = tree_.node(node);
   const NodeTables& t = tables_[static_cast<std::size_t>(node)];
@@ -356,18 +346,17 @@ void TreeMapper::walk_cone(EmitContext& ctx, int node, std::uint32_t mask,
       const int e = lowest_bit(mask);
       const WorkChild& child = wn.children[static_cast<std::size_t>(e)];
       if (c.direct_u == 1) {
-        net::SignalId sig;
+        TreeCover::Pin pin;
         if (child.is_leaf) {
-          sig = ctx.signal_of[static_cast<std::size_t>(child.leaf_signal)];
-          CHORTLE_CHECK_MSG(sig >= 0, "tree leaf has no circuit signal");
+          CHORTLE_CHECK_MSG(child.leaf_signal >= 0, "tree leaf has no signal");
+          pin = child.leaf_signal;
         } else {
           const NodeTables& ct = tables_[static_cast<std::size_t>(child.node)];
           const std::uint32_t cfull = (std::uint32_t{1} << ct.fanin) - 1;
-          sig = emit_node_lut(ctx, child.node, cost_u_of(ct)[cfull],
-                              /*complemented=*/false, "");
+          pin = add_node_lut(cover, child.node, cost_u_of(ct)[cfull]);
         }
         prog.push_back(ConeTok{ConeTok::kLeaf, child.negated,
-                               net::GateOp::kAnd, sig});
+                               net::GateOp::kAnd, pin});
       } else {
         // Merge the child's root table into this cone (§3.1.2): its
         // operands evaluate under the child's op, bracketed by an
@@ -376,9 +365,9 @@ void TreeMapper::walk_cone(EmitContext& ctx, int node, std::uint32_t mask,
         const WorkNode& cn = tree_.node(child.node);
         const NodeTables& ct = tables_[static_cast<std::size_t>(child.node)];
         const std::uint32_t cfull = (std::uint32_t{1} << ct.fanin) - 1;
-        prog.push_back(ConeTok{ConeTok::kOpen, child.negated, cn.op, -1});
-        walk_cone(ctx, child.node, cfull, c.direct_u, prog);
-        prog.push_back(ConeTok{ConeTok::kClose, false, net::GateOp::kAnd, -1});
+        prog.push_back(ConeTok{ConeTok::kOpen, child.negated, cn.op, 0});
+        walk_cone(cover, child.node, cfull, c.direct_u, prog);
+        prog.push_back(ConeTok{ConeTok::kClose, false, net::GateOp::kAnd, 0});
       }
       mask &= mask - 1;
       u -= c.direct_u;
@@ -387,8 +376,8 @@ void TreeMapper::walk_cone(EmitContext& ctx, int node, std::uint32_t mask,
                         "reconstructing an infeasible mapping");
       CHORTLE_CHECK((c.group_mask & mask) == c.group_mask &&
                     std::popcount(c.group_mask) >= 2);
-      const net::SignalId sig = emit_group_lut(ctx, node, c.group_mask);
-      prog.push_back(ConeTok{ConeTok::kLeaf, false, net::GateOp::kAnd, sig});
+      const TreeCover::Pin pin = add_group_lut(cover, node, c.group_mask);
+      prog.push_back(ConeTok{ConeTok::kLeaf, false, net::GateOp::kAnd, pin});
       mask &= ~c.group_mask;
       u -= 1;
     }
@@ -396,48 +385,49 @@ void TreeMapper::walk_cone(EmitContext& ctx, int node, std::uint32_t mask,
   CHORTLE_CHECK_MSG(u == 0, "utilization accounting mismatch");
 }
 
-net::SignalId TreeMapper::emit_node_lut(EmitContext& ctx, int node, int u,
-                                        bool complemented,
-                                        const std::string& name) const {
+TreeCover::Pin TreeMapper::add_node_lut(CoverBuilder& cover, int node,
+                                        int u) const {
   const WorkNode& wn = tree_.node(node);
   const NodeTables& t = tables_[static_cast<std::size_t>(node)];
   const std::uint32_t full = (std::uint32_t{1} << t.fanin) - 1;
   ConeProgram prog;
-  walk_cone(ctx, node, full, u, prog);
-  return emit_cone(ctx, prog, wn.op, complemented, name);
+  walk_cone(cover, node, full, u, prog);
+  return add_cone(cover, prog, wn.op);
 }
 
-net::SignalId TreeMapper::emit_group_lut(EmitContext& ctx, int node,
+TreeCover::Pin TreeMapper::add_group_lut(CoverBuilder& cover, int node,
                                          std::uint32_t mask) const {
   const WorkNode& wn = tree_.node(node);
   const NodeTables& t = tables_[static_cast<std::size_t>(node)];
   ConeProgram prog;
-  walk_cone(ctx, node, mask, cost_u_of(t)[mask], prog);
-  return emit_cone(ctx, prog, wn.op, /*complemented=*/false, "");
+  walk_cone(cover, node, mask, cost_u_of(t)[mask], prog);
+  return add_cone(cover, prog, wn.op);
 }
 
-net::SignalId TreeMapper::emit_cone(EmitContext& ctx, const ConeProgram& prog,
-                                    net::GateOp root_op, bool complemented,
-                                    const std::string& name) const {
+TreeCover::Pin TreeMapper::add_cone(CoverBuilder& cover,
+                                    const ConeProgram& prog,
+                                    net::GateOp root_op) const {
   using Table = truth::PackedTable;
 
-  // Gather the distinct input signals in first-appearance order (the DP
-  // counts repeated leaves separately — they are distinct leaf nodes of
-  // the tree, paper Figure 3 — but one physical LUT pin suffices when
-  // the same signal appears twice, so the emitted LUT deduplicates).
-  // Cone arity is bounded by K <= 6, so a linear scan over a small
-  // inline vector beats a hash map here. Tokens appear in the cone's
-  // left-to-right operand order, so scanning the program preserves the
-  // pin order of the old expression-tree walk.
-  base::SmallVector<net::SignalId, 8> inputs;
-  const auto pin_of = [&inputs](net::SignalId signal) -> int {
+  // Gather the distinct inputs in first-appearance order (the DP counts
+  // repeated leaves separately — they are distinct leaf nodes of the
+  // tree, paper Figure 3 — but one physical LUT pin suffices when the
+  // same signal appears twice, so the LUT deduplicates). Distinct leaf
+  // signals are distinct circuit signals at emission, so deduplicating
+  // pins here is deduplicating signals there. Cone arity is bounded by
+  // K <= 6, so a linear scan over a small inline vector beats a hash
+  // map here. Tokens appear in the cone's left-to-right operand order,
+  // so scanning the program preserves the pin order of the old
+  // expression-tree walk.
+  base::SmallVector<TreeCover::Pin, 8> inputs;
+  const auto index_of = [&inputs](TreeCover::Pin pin) -> int {
     for (std::size_t i = 0; i < inputs.size(); ++i)
-      if (inputs[i] == signal) return static_cast<int>(i);
+      if (inputs[i] == pin) return static_cast<int>(i);
     return -1;
   };
   for (const ConeTok& tok : prog)
-    if (tok.kind == ConeTok::kLeaf && pin_of(tok.signal) < 0)
-      inputs.push_back(tok.signal);
+    if (tok.kind == ConeTok::kLeaf && index_of(tok.pin) < 0)
+      inputs.push_back(tok.pin);
   const int arity = static_cast<int>(inputs.size());
   CHORTLE_CHECK_MSG(arity <= k_, "cone exceeds K distinct inputs");
 
@@ -448,15 +438,15 @@ net::SignalId TreeMapper::emit_cone(EmitContext& ctx, const ConeProgram& prog,
   // the op's identity table (x = 1 AND x = 0 OR x), saving an identity
   // build and a word op per frame. With the packed Table every
   // accumulator lives inline in the frame, so the whole build is
-  // word-parallel with zero heap allocation until the final LUT.
+  // word-parallel with zero heap allocation.
   struct Frame {
     Table acc;
     net::GateOp op;
     bool negated;
     bool has_value;
   };
-  const auto combine = [&ctx](Frame& top, const Table& value) {
-    ++ctx.kernel_ops;
+  const auto combine = [&cover](Frame& top, const Table& value) {
+    ++cover.kernel_ops;
     if (!top.has_value) {
       top.acc = value;
       top.has_value = true;
@@ -472,8 +462,8 @@ net::SignalId TreeMapper::emit_cone(EmitContext& ctx, const ConeProgram& prog,
   for (const ConeTok& tok : prog) {
     switch (tok.kind) {
       case ConeTok::kLeaf: {
-        ++ctx.kernel_ops;
-        Table value = Table::var(pin_of(tok.signal), arity);
+        ++cover.kernel_ops;
+        Table value = Table::var(index_of(tok.pin), arity);
         if (tok.negated) value = ~value;
         combine(frames.back(), value);
         break;
@@ -485,7 +475,7 @@ net::SignalId TreeMapper::emit_cone(EmitContext& ctx, const ConeProgram& prog,
         CHORTLE_CHECK(frames.back().has_value);  // cones have >= 1 operand
         Table value = std::move(frames.back().acc);
         if (frames.back().negated) {
-          ++ctx.kernel_ops;
+          ++cover.kernel_ops;
           value = ~value;
         }
         frames.pop_back();
@@ -496,17 +486,10 @@ net::SignalId TreeMapper::emit_cone(EmitContext& ctx, const ConeProgram& prog,
     }
   }
   CHORTLE_CHECK(frames.size() == 1 && frames.back().has_value);
-  Table fn = std::move(frames.back().acc);
-  if (complemented) {
-    ++ctx.kernel_ops;
-    fn = ~fn;
-  }
-
-  net::Lut lut;
-  lut.inputs.assign(inputs.begin(), inputs.end());
-  lut.function = fn.to_truth();
-  lut.name = name;
-  return ctx.circuit.add_lut(std::move(lut));
+  for (const TreeCover::Pin pin : inputs) cover.pins.push_back(pin);
+  cover.luts.push_back(TreeCover::Lut{frames.back().acc.words()[0],
+                                      static_cast<std::uint8_t>(arity)});
+  return TreeCover::lut_pin(static_cast<int>(cover.luts.size()) - 1);
 }
 
 }  // namespace chortle::core

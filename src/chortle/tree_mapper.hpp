@@ -33,12 +33,11 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "base/small_vector.hpp"
+#include "chortle/tree_cover.hpp"
 #include "chortle/work_tree.hpp"
-#include "network/lut_circuit.hpp"
 
 namespace chortle::core {
 
@@ -64,27 +63,14 @@ class TreeMapper {
   /// Node indices refer to WorkTree nodes; utilization in [2, K].
   int minmap_cost(int node, int utilization) const;
 
-  /// Approximate heap footprint of the DP tables plus the tree, used by
-  /// the cross-request DP cache to bound its memory. Stable after
-  /// construction (the tables are never resized).
-  std::size_t memory_bytes() const;
-
   /// min over U of cost(minmap(node, U)).
   int best_cost_of(int node) const;
 
-  /// Emits the best mapping into `circuit`. `signal_of[v]` must give the
-  /// circuit signal carrying network node v for every leaf signal of the
-  /// tree. If `complement_root` is set the root LUT implements the
-  /// complement of the tree root. Returns the root LUT's output signal.
-  ///
-  /// const: all emission state lives in a per-call context passed down
-  /// the reconstruction, so a throwing CHORTLE_CHECK mid-emit cannot
-  /// poison the mapper, and the same instance may emit into several
-  /// circuits (emission into one circuit must itself be serialized by
-  /// the caller — LutCircuit is not thread-safe).
-  net::SignalId emit(net::LutCircuit& circuit,
-                     const std::vector<net::SignalId>& signal_of,
-                     bool complement_root, const std::string& root_name) const;
+  /// The reduce step: reads the best mapping off the DP tables into a
+  /// TreeCover, evaluating each LUT's cone into its table. The cover
+  /// is all a caller needs once the DP is done; the mapper (and its
+  /// tables) can be freed as soon as it has been reduced.
+  TreeCover reduce() const;
 
  private:
   /// Trivial (no default initializers) so the choice arena can be
@@ -156,7 +142,7 @@ class TreeMapper {
     }
   };
 
-  // --- reconstruction ---
+  // --- reduce ---
   /// One token of a cone program: the operand structure of a LUT cone
   /// flattened into a postfix stream (leaves and Open/Close brackets
   /// around merged child tables) instead of a pointer-linked expression
@@ -168,40 +154,35 @@ class TreeMapper {
     std::uint8_t kind = kLeaf;
     bool negated = false;               // edge polarity into the parent op
     net::GateOp op = net::GateOp::kAnd; // kOpen: the nested combining op
-    net::SignalId signal = -1;          // kLeaf: the circuit input signal
+    TreeCover::Pin pin = 0;             // kLeaf: the LUT input
   };
   using ConeProgram = base::SmallVector<ConeTok, 48>;
 
-  /// Everything one emit() call needs, passed by parameter through the
-  /// reconstruction instead of living in long-lived members: an
-  /// exception thrown mid-emit unwinds the context with the call and
-  /// cannot leave the mapper pointing at a dead circuit.
-  struct EmitContext {
-    net::LutCircuit& circuit;
-    const std::vector<net::SignalId>& signal_of;
+  /// The cover under construction, passed by parameter through the
+  /// reconstruction.
+  struct CoverBuilder {
+    std::vector<TreeCover::Lut> luts;
+    base::SmallVector<TreeCover::Pin, 64> pins;
     // Word-parallel truth-table operations performed while building LUT
-    // masks; flushed once per emit() call.
+    // tables; flushed once per reduce() call.
     std::uint64_t kernel_ops = 0;
   };
 
   /// Appends the operands of node `node`'s root LUT restricted to child
   /// subset `mask` at utilization `u` onto `prog` (in the cone's
   /// left-to-right operand order).
-  void walk_cone(EmitContext& ctx, int node, std::uint32_t mask, int u,
+  void walk_cone(CoverBuilder& cover, int node, std::uint32_t mask, int u,
                  ConeProgram& prog) const;
-  /// Builds and emits the LUT of `node` mapped at utilization `u`.
-  net::SignalId emit_node_lut(EmitContext& ctx, int node, int u,
-                              bool complemented,
-                              const std::string& name) const;
-  /// Builds and emits the LUT of the intermediate node of `node` over
-  /// child subset `mask`.
-  net::SignalId emit_group_lut(EmitContext& ctx, int node,
+  /// Adds the LUT of `node` mapped at utilization `u`; returns its pin.
+  TreeCover::Pin add_node_lut(CoverBuilder& cover, int node, int u) const;
+  /// Adds the LUT of the intermediate node of `node` over child subset
+  /// `mask`; returns its pin.
+  TreeCover::Pin add_group_lut(CoverBuilder& cover, int node,
                                std::uint32_t mask) const;
   /// Evaluates a cone program (top-level tokens combined under
-  /// `root_op`) into a LUT mask and adds the LUT to the circuit.
-  net::SignalId emit_cone(EmitContext& ctx, const ConeProgram& prog,
-                          net::GateOp root_op, bool complemented,
-                          const std::string& name) const;
+  /// `root_op`) into a LUT table and adds the LUT to the cover.
+  TreeCover::Pin add_cone(CoverBuilder& cover, const ConeProgram& prog,
+                          net::GateOp root_op) const;
 
   WorkTree tree_;
   Options options_;
@@ -212,8 +193,8 @@ class TreeMapper {
   // allocation — h rows first, then all cost rows — so a whole tree
   // costs three allocations of tables total. Sized exactly in the
   // constructor from the per-node fanins and never resized afterwards,
-  // so the h_of/... pointers stay valid for the mapper's lifetime and
-  // memory_bytes() is stable. Allocated *uninitialized*
+  // so the h_of/... pointers stay valid for the mapper's lifetime.
+  // Allocated *uninitialized*
   // (make_unique_for_overwrite): the solve kernel writes every cell of
   // each nonempty subset's rows unconditionally when that subset is
   // visited, and no reader touches an empty-subset row (beyond the
